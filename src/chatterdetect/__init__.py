@@ -11,15 +11,12 @@ from .emd import EemdParams, ImfSet, SiftStop, eemd, emd, envelope_mean, find_ex
 from .errors import (
     ChatterDetectError,
     DomainError,
-    FeatureExtractionError,
     ParseError,
     ValidationError,
 )
 from .features import (
     EEMD_FEATURE_NAMES,
     WPT_FEATURE_NAMES,
-    FeatureMatrix,
-    build_feature_matrix,
     eemd_features,
     magnitude_spectrum,
     wpt_features,
@@ -57,7 +54,6 @@ from .ml import (
     LinearModel,
     Standardizer,
     TreeEnsembleModel,
-    fit_standardizer,
     make_trainer,
     model_from_dict,
     nested_feature_accuracies,
@@ -67,7 +63,7 @@ from .ml import (
     train_logistic,
     train_svm,
 )
-from .select import ImfChoice, PacketChoice, select_informative_imf, select_informative_packet
+from .select import in_band_fraction, select_imf, select_packet
 from .wavelet import (
     FrequencyBand,
     PacketTree,

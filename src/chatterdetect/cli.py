@@ -2,9 +2,13 @@
 
 Subcommands: preprocess, decompose, select, features, train,
 evaluate-within, evaluate-transfer, report.  Any flag may also come from a
-JSON config file given with --config; explicit flags override file values.
-On failure a machine-readable error record is printed to stderr and the
-exit code is nonzero.
+JSON config file given with --config, as an object keyed by flag name
+("window-len" or "window_len").  File values are parsed exactly like flags
+given before the command line's own, so a value of the wrong type or outside
+a flag's choices is a usage error (exit 2), explicit flags override file
+values, and keys that name no flag of the subcommand are ignored.  Required
+flags must still appear on the command line.  On failure a machine-readable
+error record is printed to stderr and the exit code is nonzero.
 """
 
 from __future__ import annotations
@@ -29,111 +33,99 @@ from .ml import make_trainer
 from .wavelet import wpt_decompose
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON file supplying default flag values")
-    p.add_argument("--out", default=".", help="output directory or file")
+CLASSIFIERS = ["svm", "logreg", "forest", "boost"]
 
 
 def build_parser():
+    # flag groups that several subcommands share, attached as parents
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file supplying default flag values")
+    common.add_argument("--out", default=".", help="output directory or file")
+
+    decomposition = argparse.ArgumentParser(add_help=False)
+    decomposition.add_argument("--method", choices=["wpt", "eemd"], required=True)
+    decomposition.add_argument("--level", type=int, default=4)
+    decomposition.add_argument("--ensemble-size", type=int, default=200)
+    decomposition.add_argument("--noise-fraction", type=float, default=0.2)
+    decomposition.add_argument("--seed", type=int, default=0)
+
+    manifest = argparse.ArgumentParser(add_help=False)
+    manifest.add_argument("--manifest", required=True)
+    manifest.add_argument("--window-len", type=int, default=1000)
+    manifest.add_argument("--workers", type=int, default=1)
+
+    evaluation = argparse.ArgumentParser(add_help=False)
+    evaluation.add_argument("--classifier", choices=CLASSIFIERS, required=True)
+    evaluation.add_argument("--realizations", type=int, default=10)
+    evaluation.add_argument("--grouped-split", action="store_true")
+
     parser = argparse.ArgumentParser(prog="chatterdetect")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="low-pass filter and downsample a recording")
-    _add_common(p)
+    p = sub.add_parser("preprocess", parents=[common],
+                       help="low-pass filter and downsample a recording")
     p.add_argument("--input", required=True)
     p.add_argument("--sample-rate", type=float, required=True)
     p.add_argument("--target-rate", type=float, required=True)
     p.add_argument("--filter-order", type=int, default=100)
     p.add_argument("--cutoff", type=float, default=10000.0)
 
-    p = sub.add_parser("decompose", help="dump wavelet packets or IMFs as CSV")
-    _add_common(p)
+    p = sub.add_parser("decompose", parents=[common, decomposition],
+                       help="dump wavelet packets or IMFs as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--sample-rate", type=float, default=10000.0)
-    p.add_argument("--method", choices=["wpt", "eemd"], required=True)
-    p.add_argument("--level", type=int, default=4)
-    p.add_argument("--ensemble-size", type=int, default=200)
-    p.add_argument("--noise-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
 
     for name in ("select", "features"):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--manifest", required=True)
+        p = sub.add_parser(name, parents=[common, decomposition, manifest])
         p.add_argument("--stickout", required=True)
-        p.add_argument("--method", choices=["wpt", "eemd"], required=True)
-        p.add_argument("--level", type=int, default=4)
-        p.add_argument("--window-len", type=int, default=1000)
-        p.add_argument("--ensemble-size", type=int, default=200)
-        p.add_argument("--noise-fraction", type=float, default=0.2)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("train", help="fit one classifier on a feature CSV")
-    _add_common(p)
+    p = sub.add_parser("train", parents=[common], help="fit one classifier on a feature CSV")
     p.add_argument("--features", required=True, help="feature matrix CSV with label column")
-    p.add_argument("--classifier", choices=["svm", "logreg", "forest", "boost"],
-                   required=True)
+    p.add_argument("--classifier", choices=CLASSIFIERS, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("evaluate-within")
-    _add_common(p)
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("evaluate-within", parents=[common, decomposition, manifest, evaluation])
     p.add_argument("--stickout", required=True)
-    p.add_argument("--method", choices=["wpt", "eemd"], required=True)
-    p.add_argument("--level", type=int, default=4)
-    p.add_argument("--window-len", type=int, default=1000)
-    p.add_argument("--ensemble-size", type=int, default=200)
-    p.add_argument("--noise-fraction", type=float, default=0.2)
-    p.add_argument("--classifier", choices=["svm", "logreg", "forest", "boost"],
-                   required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--realizations", type=int, default=10)
-    p.add_argument("--grouped-split", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("evaluate-transfer")
-    _add_common(p)
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("evaluate-transfer",
+                       parents=[common, decomposition, manifest, evaluation])
     p.add_argument("--train-config", nargs="+", required=True)
     p.add_argument("--test-config", nargs="+", required=True)
-    p.add_argument("--method", choices=["wpt", "eemd"], required=True)
-    p.add_argument("--level", type=int, default=4)
-    p.add_argument("--window-len", type=int, default=1000)
-    p.add_argument("--ensemble-size", type=int, default=200)
-    p.add_argument("--noise-fraction", type=float, default=0.2)
-    p.add_argument("--classifier", choices=["svm", "logreg", "forest", "boost"],
-                   required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--realizations", type=int, default=10)
-    p.add_argument("--grouped-split", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("report", help="re-emit CSV/text tables from a report JSON")
-    _add_common(p)
+    p = sub.add_parser("report", parents=[common],
+                       help="re-emit CSV/text tables from a report JSON")
     p.add_argument("--input", required=True)
 
     return parser
 
 
-def _apply_config_file(args):
-    if not getattr(args, "config", None):
+def _parse_args(parser, argv):
+    """Parse argv; values from a --config file enter as flags placed before
+    argv, so they pass the same type and choice checks and explicit flags
+    win.  Keys that name no flag of the subcommand are ignored."""
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
-        defaults = json.load(fh)
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and args._explicit is not None and attr not in args._explicit:
-            setattr(args, attr, value)
-    return args
-
-
-def _explicit_flags(argv):
-    return {
-        token.lstrip("-").split("=")[0].replace("-", "_")
-        for token in argv
-        if token.startswith("--")
-    }
+        try:
+            values = json.load(fh)
+        except ValueError as exc:
+            parser.error(f"--config {args.config}: {exc}")
+    if not isinstance(values, dict):
+        parser.error(f"--config {args.config}: expected a JSON object")
+    tokens = []
+    for key, value in values.items():
+        dest = key.replace("-", "_")
+        if dest in ("command", "config") or not hasattr(args, dest):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest), bool) and isinstance(value, bool):
+            tokens += [flag] if value else []  # a store_true flag
+        elif isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        else:
+            tokens.append(f"{flag}={value}")
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def _classifier_name(flag):
@@ -183,23 +175,29 @@ def _cmd_decompose(args):
     print(json.dumps({"output": str(path)}))
 
 
-def _prepare(args):
+def _prepare(args, stickout_ids):
+    """Prepare each stickout configuration from one load of the manifest."""
     manifest = load_manifest(args.manifest)
-    return harness.prepare_from_manifest(
-        manifest,
-        args.stickout,
-        args.method,
-        level=args.level,
-        window_len=args.window_len,
-        eemd_params=_eemd_params(args) if args.method == "eemd" else None,
-        n_workers=args.workers,
-    )
+    eemd_params = _eemd_params(args) if args.method == "eemd" else None
+    return [
+        harness.prepare_from_manifest(
+            manifest, sid, args.method, level=args.level,
+            window_len=args.window_len, eemd_params=eemd_params,
+            n_workers=args.workers,
+        )
+        for sid in stickout_ids
+    ]
+
+
+def _select_all(args):
+    """The stickout's prepared config and its selection from every
+    chatter-labeled sample."""
+    [prepared] = _prepare(args, [args.stickout])
+    return prepared, prepared.select(range(len(prepared.samples)))
 
 
 def _cmd_select(args):
-    prepared = _prepare(args)
-    chatter_idx = np.flatnonzero(prepared.labels == 1)
-    selection = harness._select_on(prepared, chatter_idx)
+    _, selection = _select_all(args)
     record = {"stickout_id": args.stickout, "method": args.method, **selection}
     path = Path(args.out)
     if path.is_dir():
@@ -210,16 +208,12 @@ def _cmd_select(args):
 
 
 def _cmd_features(args):
-    prepared = _prepare(args)
-    all_idx = np.arange(len(prepared.samples))
-    chatter_idx = np.flatnonzero(prepared.labels == 1)
-    selection = harness._select_on(prepared, chatter_idx)
-    X = harness._feature_rows(prepared, all_idx, selection)
-    names = harness._feature_names(args.method)
+    prepared, selection = _select_all(args)
+    X = prepared.feature_rows(range(len(prepared.samples)), selection)
     path = Path(args.out)
     if path.is_dir():
         path = path / f"features_{args.stickout}_{args.method}.csv"
-    header = ",".join(list(names) + ["label"])
+    header = ",".join(list(harness.FEATURE_NAMES[args.method]) + ["label"])
     np.savetxt(path, np.column_stack([X, prepared.labels]), delimiter=",",
                header=header, comments="")
     print(json.dumps({"output": str(path), "n_samples": int(X.shape[0])}))
@@ -241,21 +235,26 @@ def _cmd_train(args):
     print(json.dumps({"output": str(path), "train_accuracy": train_acc}))
 
 
-def _cmd_evaluate_within(args):
-    prepared = _prepare(args)
-    spec = harness.ExperimentSpec(
+def _spec(args, mode, train_configs, test_configs):
+    split = harness.WITHIN_SPLIT if mode == "within" else harness.TRANSFER_SPLIT
+    return harness.ExperimentSpec(
         method=args.method,
         classifier=_classifier_name(args.classifier),
-        train_configs=(args.stickout,),
-        test_configs=(args.stickout,),
-        mode="within",
+        train_configs=tuple(train_configs),
+        test_configs=tuple(test_configs),
+        mode=mode,
         level=args.level,
         window_len=args.window_len,
         n_realizations=args.realizations,
-        split=harness.WITHIN_SPLIT,
+        split=split,
         master_seed=args.seed,
         grouped_split=args.grouped_split,
     )
+
+
+def _cmd_evaluate_within(args):
+    [prepared] = _prepare(args, [args.stickout])
+    spec = _spec(args, "within", [args.stickout], [args.stickout])
     report = harness.run_within(spec, prepared)
     path = harness.emit_report(
         report, args.out, f"within_{args.stickout}_{args.method}_{args.classifier}"
@@ -264,40 +263,15 @@ def _cmd_evaluate_within(args):
 
 
 def _cmd_evaluate_transfer(args):
-    manifest = load_manifest(args.manifest)
-    eemd_params = _eemd_params(args) if args.method == "eemd" else None
-
-    def prep(sid):
-        return harness.prepare_from_manifest(
-            manifest, sid, args.method, level=args.level,
-            window_len=args.window_len, eemd_params=eemd_params,
-            n_workers=args.workers,
-        )
-
     combined = len(args.train_config) == 2
-    spec = harness.ExperimentSpec(
-        method=args.method,
-        classifier=_classifier_name(args.classifier),
-        train_configs=tuple(args.train_config),
-        test_configs=tuple(args.test_config),
-        mode="transfer-combined" if combined else "transfer",
-        level=args.level,
-        window_len=args.window_len,
-        n_realizations=args.realizations,
-        split=harness.TRANSFER_SPLIT,
-        master_seed=args.seed,
-        grouped_split=args.grouped_split,
-    )
+    spec = _spec(args, "transfer-combined" if combined else "transfer",
+                 args.train_config, args.test_config)
     if combined:
-        report = harness.run_transfer_combined(
-            spec,
-            [prep(s) for s in args.train_config],
-            [prep(s) for s in args.test_config],
-        )
+        prepared = _prepare(args, args.train_config + args.test_config)
+        report = harness.run_transfer_combined(spec, prepared[:2], prepared[2:])
     else:
-        report = harness.run_transfer(
-            spec, prep(args.train_config[0]), prep(args.test_config[0])
-        )
+        train, test = _prepare(args, [args.train_config[0], args.test_config[0]])
+        report = harness.run_transfer(spec, train, test)
     tag = "-".join(args.train_config) + "_to_" + "-".join(args.test_config)
     path = harness.emit_report(
         report, args.out, f"transfer_{tag}_{args.method}_{args.classifier}"
@@ -327,10 +301,8 @@ _COMMANDS = {
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args._explicit = _explicit_flags(argv)
     try:
-        args = _apply_config_file(args)
+        args = _parse_args(parser, argv)
         _COMMANDS[args.command](args)
     except ChatterDetectError as exc:
         sys.stderr.write(json.dumps(

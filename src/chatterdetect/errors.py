@@ -22,10 +22,3 @@ class ValidationError(ChatterDetectError, ValueError):
 class DomainError(ChatterDetectError, ValueError):
     """An argument was outside the operation's domain."""
 
-
-class FeatureExtractionError(ChatterDetectError, ValueError):
-    """Feature extraction failed for one or more samples."""
-
-    def __init__(self, message, sample_ids=()):
-        super().__init__(message)
-        self.sample_ids = list(sample_ids)

@@ -9,11 +9,9 @@ powers of the RMS, not by central-moment conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, FeatureExtractionError
+from .errors import DomainError
 
 WPT_FEATURE_NAMES = (
     "mean",
@@ -43,22 +41,6 @@ EEMD_FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class WptFeatureVector:
-    values: np.ndarray  # a1..a14 in WPT_FEATURE_NAMES order
-
-    def as_array(self):
-        return np.asarray(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
-class EemdFeatureVector:
-    values: np.ndarray  # f1..f7 in EEMD_FEATURE_NAMES order
-
-    def as_array(self):
-        return np.asarray(self.values, dtype=float)
-
-
 def magnitude_spectrum(x, sample_rate_hz):
     """One-sided DFT magnitude spectrum.
 
@@ -75,7 +57,8 @@ def magnitude_spectrum(x, sample_rate_hz):
 
 
 def wpt_features(x, sample_rate_hz):
-    """The fourteen-statistic vector of a reconstructed wavelet packet."""
+    """The fourteen statistics of a reconstructed wavelet packet, as an array
+    in WPT_FEATURE_NAMES order."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 4:
@@ -104,13 +87,12 @@ def wpt_features(x, sample_rate_hz):
     a12 = float(np.sum(np.cos(2 * np.pi * freqs * dt) * mags) / total)
     a13 = float(np.sum(freqs * mags) / total)
     a14 = float(np.sum((freqs - a13) ** 2 * mags) / total)
-    return WptFeatureVector(
-        np.array([a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14])
-    )
+    return np.array([a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14])
 
 
 def eemd_features(imfs, informative_index):
-    """The seven-statistic vector of one intrinsic mode function.
+    """The seven statistics of one intrinsic mode function, as an array in
+    EEMD_FEATURE_NAMES order.
 
     informative_index is 1-based.  The energy-ratio denominator runs over
     the IMFs only; the residue is excluded.
@@ -134,63 +116,4 @@ def eemd_features(imfs, informative_index):
     centered = c - float(np.mean(c))
     f6 = float(np.sum(centered**3) / ((n - 1) * f4**3))
     f7 = float(np.sum(centered**4) / ((n - 1) * f4**4))
-    return EemdFeatureVector(np.array([f1, f2, f3, f4, f5, f6, f7]))
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    X: np.ndarray  # (n_samples, n_features)
-    y: np.ndarray  # binary labels aligned to rows
-    feature_names: tuple
-    sample_ids: tuple = ()
-
-    def __post_init__(self):
-        if self.X.shape[0] != self.y.size:
-            raise DomainError("labels not aligned to rows")
-        if self.X.shape[1] != len(self.feature_names):
-            raise DomainError("feature names not aligned to columns")
-
-    @property
-    def n_samples(self):
-        return self.X.shape[0]
-
-    @property
-    def n_features(self):
-        return self.X.shape[1]
-
-    def to_csv(self, path):
-        header = ",".join(list(self.feature_names) + ["label"])
-        body = np.column_stack([self.X, self.y])
-        np.savetxt(path, body, delimiter=",", header=header, comments="")
-
-
-def build_feature_matrix(samples, extractor, feature_names, sample_ids=None):
-    """Apply `extractor` to each (signal, label) pair, preserving order.
-
-    Extraction failures are aggregated into one error listing every
-    offending sample id.
-    """
-    samples = list(samples)
-    if not samples:
-        raise DomainError("cannot build a feature matrix from no samples")
-    if sample_ids is None:
-        sample_ids = [str(i) for i in range(len(samples))]
-    rows, labels, failed = [], [], []
-    for sid, (signal, label) in zip(sample_ids, samples):
-        try:
-            rows.append(np.asarray(extractor(signal), dtype=float))
-            labels.append(label)
-        except (DomainError, ValueError) as exc:
-            failed.append((sid, str(exc)))
-    if failed:
-        raise FeatureExtractionError(
-            "feature extraction failed for samples: "
-            + "; ".join(f"{sid} ({msg})" for sid, msg in failed),
-            [sid for sid, _ in failed],
-        )
-    return FeatureMatrix(
-        np.vstack(rows),
-        np.asarray(labels, dtype=int),
-        tuple(feature_names),
-        tuple(sample_ids),
-    )
+    return np.array([f1, f2, f3, f4, f5, f6, f7])

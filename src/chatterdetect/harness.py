@@ -26,25 +26,18 @@ from .features import (
 )
 from .ingest import (
     CuttingConfig,
-    Segment,
     cut_segments,
     load_labels,
     load_timeseries,
     window_segments,
 )
 from .ml import make_trainer, nested_feature_accuracies, rfe_rank
-from .select import _in_band_fraction
-from .wavelet import (
-    FrequencyBand,
-    energy_ratios,
-    packet_band,
-    predict_informative_packets,
-    reconstruct_packet,
-    wpt_decompose,
-)
+from .select import in_band_fraction, select_imf, select_packet
+from .wavelet import FrequencyBand, energy_ratios, reconstruct_packet, wpt_decompose
 
 WITHIN_SPLIT = (0.67, 0.33)
 TRANSFER_SPLIT = (0.70, 0.70)
+FEATURE_NAMES = {"wpt": WPT_FEATURE_NAMES, "eemd": EEMD_FEATURE_NAMES}
 
 
 @dataclass(frozen=True)
@@ -118,6 +111,36 @@ class PreparedConfig:
     def labels(self):
         return np.asarray([s.label for s in self.samples], dtype=int)
 
+    def select(self, indices):
+        """Informative component from the chatter-labeled samples among
+        `indices`, as the selection record written into reports."""
+        chatter = [self.samples[i] for i in indices if self.samples[i].label == 1]
+        if self.method == "wpt":
+            return select_packet(
+                [s.packet_energy_ratios for s in chatter],
+                FrequencyBand(*self.config.chatter_band_hz),
+                self.level,
+                self.sample_rate_hz,
+            )
+        return select_imf([s.imf_band_fractions for s in chatter])
+
+    def feature_rows(self, indices, selection):
+        """Feature matrix of the samples at `indices` for the selected
+        component."""
+        idx = selection["index"]
+        rows = []
+        for i in indices:
+            s = self.samples[i]
+            if self.method == "wpt":
+                rows.append(s.packet_features[idx - 1])
+            elif idx <= s.imf_features.shape[0]:
+                rows.append(s.imf_features[idx - 1])
+            else:
+                # decomposition stopped before this index: the ensemble-mean
+                # IMF is identically zero, so every feature is zero
+                rows.append(np.zeros(len(EEMD_FEATURE_NAMES)))
+        return np.vstack(rows)
+
 
 def prepare_wpt_config(config, segments, level):
     """Decompose every labeled segment and featurize every packet."""
@@ -130,7 +153,7 @@ def prepare_wpt_config(config, segments, level):
         ratios = energy_ratios(tree, level)
         feats = np.vstack(
             [
-                wpt_features(reconstruct_packet(tree, level, j + 1).samples, fs).as_array()
+                wpt_features(reconstruct_packet(tree, level, j + 1).samples, fs)
                 for j in range(2**level)
             ]
         )
@@ -165,12 +188,8 @@ def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None,
         imfs = eemd(win.series.samples, eemd_params, n_workers=n_workers)
         if imfs.n_imfs == 0:
             continue  # degenerate window with no oscillation
-        feats = np.vstack(
-            [eemd_features(imfs, i + 1).as_array() for i in range(imfs.n_imfs)]
-        )
-        fractions = np.asarray(
-            [_in_band_fraction(c, band, fs) for c in imfs.imfs]
-        )
+        feats = np.vstack([eemd_features(imfs, i + 1) for i in range(imfs.n_imfs)])
+        fractions = np.asarray([in_band_fraction(c, band, fs) for c in imfs.imfs])
         prepared.append(
             PreparedSample(
                 sample_id=(win.source[0], win.source[1], w_idx),
@@ -211,7 +230,7 @@ def prepare_from_manifest(manifest, stickout_id, method, level=4,
 
 
 # ---------------------------------------------------------------------------
-# splitting and selection
+# splitting
 
 def _stratified_split(labels, fraction, rng, groups=None):
     """Indices of a stratified draw and its complement.
@@ -257,72 +276,6 @@ def _draw_split(labels, fraction, rng, groups=None, need_complement=True,
         "could not draw a split with both classes on each side "
         f"after {max_attempts} attempts"
     )
-
-
-def _select_on(prepared, train_idx):
-    """Informative component from the chatter-labeled training samples."""
-    chatter = [
-        prepared.samples[i] for i in train_idx if prepared.samples[i].label == 1
-    ]
-    if not chatter:
-        raise DomainError("no chatter-labeled training samples for selection")
-    band = FrequencyBand(*prepared.config.chatter_band_hz)
-    if prepared.method == "wpt":
-        fs = prepared.sample_rate_hz
-        candidates = sorted(
-            predict_informative_packets(band, prepared.level, fs)
-        )
-        if not candidates:
-            raise DomainError("chatter band overlaps no packet below Nyquist")
-        means = np.mean(
-            [[s.packet_energy_ratios[j - 1] for j in candidates] for s in chatter],
-            axis=0,
-        )
-        chosen = candidates[int(np.argmax(means))]
-        return {
-            "kind": "packet",
-            "level": prepared.level,
-            "index": chosen,
-            "mean_energy_ratio": float(means[int(np.argmax(means))]),
-            "candidates": {str(j): float(m) for j, m in zip(candidates, means)},
-            "band_hz": [
-                packet_band(prepared.level, chosen, fs).low_hz,
-                packet_band(prepared.level, chosen, fs).high_hz,
-            ],
-        }
-    max_imfs = max(s.imf_band_fractions.size for s in chatter)
-    scores = np.zeros(max_imfs)
-    for s in chatter:
-        scores[: s.imf_band_fractions.size] += s.imf_band_fractions
-    scores /= len(chatter)
-    chosen = int(np.argmax(scores)) + 1
-    return {
-        "kind": "imf",
-        "index": chosen,
-        "band_overlap_score": float(scores[chosen - 1]),
-        "scores": [float(v) for v in scores],
-    }
-
-
-def _feature_rows(prepared, indices, selection):
-    idx = selection["index"]
-    rows = []
-    for i in indices:
-        s = prepared.samples[i]
-        if prepared.method == "wpt":
-            rows.append(s.packet_features[idx - 1])
-        else:
-            if idx <= s.imf_features.shape[0]:
-                rows.append(s.imf_features[idx - 1])
-            else:
-                # decomposition stopped before this index: the ensemble-mean
-                # IMF is identically zero, so every feature is zero
-                rows.append(np.zeros(len(EEMD_FEATURE_NAMES)))
-    return np.vstack(rows)
-
-
-def _feature_names(method):
-    return WPT_FEATURE_NAMES if method == "wpt" else EEMD_FEATURE_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +336,49 @@ def _aggregate(spec, feature_names, logs):
     )
 
 
-def _run_realization(spec, r, trainer_seed, Xtr, ytr, Xte, yte, selections):
-    trainer = make_trainer(spec.classifier, seed=trainer_seed)
-    ranking = rfe_rank(Xtr, ytr, trainer)
-    accs = nested_feature_accuracies(Xtr, ytr, Xte, yte, ranking, trainer)
-    return {
-        "realization": r,
-        "selection": selections,
-        "ranking": list(ranking.order),
-        "accuracies": [[k, tr, te] for k, tr, te in accs],
-        "n_train": int(len(ytr)),
-        "n_test": int(len(yte)),
-    }
+def _stack(parts):
+    """Feature matrix and labels of (prepared, indices, selection) parts."""
+    X = np.vstack([prep.feature_rows(idx, sel) for prep, idx, sel in parts])
+    y = np.concatenate([prep.labels[idx] for prep, idx, _ in parts])
+    return X, y
 
 
-def _trainer_seed(spec, r):
-    return int(np.random.SeedSequence([spec.master_seed, r, 7]).generate_state(1)[0])
+def _realize(spec, draw):
+    """The realization loop shared by every mode.
+
+    draw(r) returns the train parts, the test parts and the selection record
+    of realization r; a part is (prepared config, sample indices, selection).
+    """
+    logs = []
+    for r in range(spec.n_realizations):
+        train, test, selection = draw(r)
+        Xtr, ytr = _stack(train)
+        Xte, yte = _stack(test)
+        seed = np.random.SeedSequence([spec.master_seed, r, 7]).generate_state(1)[0]
+        trainer = make_trainer(spec.classifier, seed=int(seed))
+        ranking = rfe_rank(Xtr, ytr, trainer)
+        accs = nested_feature_accuracies(Xtr, ytr, Xte, yte, ranking, trainer)
+        logs.append({
+            "realization": r,
+            "selection": selection,
+            "ranking": list(ranking.order),
+            "accuracies": [[k, tr, te] for k, tr, te in accs],
+            "n_train": int(len(ytr)),
+            "n_test": int(len(yte)),
+        })
+    return _aggregate(spec, FEATURE_NAMES[spec.method], logs)
+
+
+def _groups(spec, prepared):
+    """Per-sample split groups under a grouped split, else None."""
+    return [s.group for s in prepared.samples] if spec.grouped_split else None
+
+
+def _draw_side(spec, prepared, fraction, rng):
+    """A stratified draw of one dataset, without a complement."""
+    idx, _ = _draw_split(prepared.labels, fraction, rng, _groups(spec, prepared),
+                         need_complement=False)
+    return idx
 
 
 def run_within(spec, prepared):
@@ -406,21 +386,16 @@ def run_within(spec, prepared):
     if spec.mode != "within":
         raise ValidationError("spec is not in within mode")
     labels = prepared.labels
-    groups = [s.group for s in prepared.samples] if spec.grouped_split else None
-    logs = []
-    for r in range(spec.n_realizations):
+    groups = _groups(spec, prepared)
+
+    def draw(r):
         rng = np.random.default_rng([spec.master_seed, r])
         train_idx, test_idx = _draw_split(labels, spec.split[0], rng, groups)
-        selection = _select_on(prepared, train_idx)
-        Xtr = _feature_rows(prepared, train_idx, selection)
-        Xte = _feature_rows(prepared, test_idx, selection)
-        logs.append(
-            _run_realization(
-                spec, r, _trainer_seed(spec, r),
-                Xtr, labels[train_idx], Xte, labels[test_idx], selection,
-            )
-        )
-    return _aggregate(spec, _feature_names(spec.method), logs)
+        selection = prepared.select(train_idx)
+        return ([(prepared, train_idx, selection)],
+                [(prepared, test_idx, selection)], selection)
+
+    return _realize(spec, draw)
 
 
 def run_transfer(spec, prepared_train, prepared_test):
@@ -431,27 +406,16 @@ def run_transfer(spec, prepared_train, prepared_test):
     """
     if spec.mode != "transfer":
         raise ValidationError("spec is not in transfer mode")
-    ytr_all = prepared_train.labels
-    yte_all = prepared_test.labels
-    tr_groups = [s.group for s in prepared_train.samples] if spec.grouped_split else None
-    te_groups = [s.group for s in prepared_test.samples] if spec.grouped_split else None
-    logs = []
-    for r in range(spec.n_realizations):
+
+    def draw(r):
         rng = np.random.default_rng([spec.master_seed, r])
-        train_idx, _ = _draw_split(ytr_all, spec.split[0], rng, tr_groups,
-                                   need_complement=False)
-        test_idx, _ = _draw_split(yte_all, spec.split[1], rng, te_groups,
-                                  need_complement=False)
-        selection = _select_on(prepared_train, train_idx)
-        Xtr = _feature_rows(prepared_train, train_idx, selection)
-        Xte = _feature_rows(prepared_test, test_idx, selection)
-        logs.append(
-            _run_realization(
-                spec, r, _trainer_seed(spec, r),
-                Xtr, ytr_all[train_idx], Xte, yte_all[test_idx], selection,
-            )
-        )
-    return _aggregate(spec, _feature_names(spec.method), logs)
+        train_idx = _draw_side(spec, prepared_train, spec.split[0], rng)
+        test_idx = _draw_side(spec, prepared_test, spec.split[1], rng)
+        selection = prepared_train.select(train_idx)
+        return ([(prepared_train, train_idx, selection)],
+                [(prepared_test, test_idx, selection)], selection)
+
+    return _realize(spec, draw)
 
 
 def run_transfer_combined(spec, prepared_trains, prepared_tests):
@@ -465,31 +429,23 @@ def run_transfer_combined(spec, prepared_trains, prepared_tests):
         raise ValidationError("spec is not in transfer-combined mode")
     if len(prepared_trains) != 2 or len(prepared_tests) != 2:
         raise ValidationError("combined mode takes two train and two test datasets")
-    logs = []
-    for r in range(spec.n_realizations):
-        X_parts, y_parts, selections = [], [], {}
+
+    def draw(r):
+        sides, selections = [], {}
         for side_code, (fraction, datasets) in enumerate(
             ((spec.split[0], prepared_trains), (spec.split[1], prepared_tests))
         ):
-            side_X, side_y = [], []
+            parts = []
             for pos, prep in enumerate(datasets):
                 rng = np.random.default_rng([spec.master_seed, r, side_code, pos])
-                groups = [s.group for s in prep.samples] if spec.grouped_split else None
-                idx, _ = _draw_split(prep.labels, fraction, rng, groups,
-                                     need_complement=False)
-                selection = _select_on(prep, idx)
+                idx = _draw_side(spec, prep, fraction, rng)
+                selection = prep.select(idx)
                 selections[prep.config.stickout_id] = selection
-                side_X.append(_feature_rows(prep, idx, selection))
-                side_y.append(prep.labels[idx])
-            X_parts.append(np.vstack(side_X))
-            y_parts.append(np.concatenate(side_y))
-        logs.append(
-            _run_realization(
-                spec, r, _trainer_seed(spec, r),
-                X_parts[0], y_parts[0], X_parts[1], y_parts[1], selections,
-            )
-        )
-    return _aggregate(spec, _feature_names(spec.method), logs)
+                parts.append((prep, idx, selection))
+            sides.append(parts)
+        return sides[0], sides[1], selections
+
+    return _realize(spec, draw)
 
 
 # ---------------------------------------------------------------------------

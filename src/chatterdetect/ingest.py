@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -149,9 +150,12 @@ class FilterCascade:
 
 def _parse_float(token, line_number, what):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"bad {what} value {token!r}", line_number) from None
+    if not isfinite(value):
+        raise ParseError(f"non-finite {what} value {token!r}", line_number)
+    return value
 
 
 def load_timeseries(path, sample_rate_hz):

@@ -51,10 +51,6 @@ class Standardizer:
         return cls(np.asarray(d["mean"]), np.asarray(d["std"]))
 
 
-def fit_standardizer(X):
-    return Standardizer.fit(X)
-
-
 # ---------------------------------------------------------------------------
 # linear models
 

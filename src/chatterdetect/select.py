@@ -6,65 +6,54 @@ configuration's chatter band and carries the highest relative energy,
 averaged over the chatter-labeled training data.  It is not necessarily the
 highest-energy component overall: stable cutting concentrates energy in the
 low packets, so candidates are restricted to the chatter-band overlap set.
+
+Both policies work on precomputed per-sample rows (energy ratios or band
+fractions), so a realization re-selects without decomposing again.  Both
+return the selection record written into reports; ties break toward the
+lower index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
-from .wavelet import FrequencyBand, energy_ratios, packet_band, predict_informative_packets
+from .wavelet import packet_band, predict_informative_packets
+
+_NO_ROWS = "no chatter-labeled training samples for selection"
 
 
-@dataclass(frozen=True)
-class PacketChoice:
-    level: int
-    packet_index: int
-    mean_energy_ratio: float
-    band: FrequencyBand
-    candidate_ratios: dict
-
-
-@dataclass(frozen=True)
-class ImfChoice:
-    imf_index: int
-    band_overlap_score: float
-    scores: tuple
-
-
-def select_informative_packet(training_trees, level, config):
+def select_packet(ratio_rows, band, level, sample_rate_hz):
     """Pick the packet with the highest mean energy ratio among the packets
-    overlapping the configuration's chatter band.  Ties break low."""
-    trees = list(training_trees)
-    if not trees:
-        raise DomainError("need at least one training tree")
-    fs = trees[0].sample_rate_hz
-    band = FrequencyBand(*config.chatter_band_hz)
-    candidates = sorted(predict_informative_packets(band, level, fs))
+    overlapping `band`.
+
+    ratio_rows holds one row of 2^level energy ratios (packet j at position
+    j - 1) per chatter-labeled training sample.
+    """
+    if len(ratio_rows) == 0:
+        raise DomainError(_NO_ROWS)
+    candidates = sorted(predict_informative_packets(band, level, sample_rate_hz))
     if not candidates:
         raise DomainError(
-            f"chatter band {config.chatter_band_hz} overlaps no packet "
-            f"below the Nyquist frequency {fs / 2} Hz"
+            f"chatter band ({band.low_hz}, {band.high_hz}) overlaps no packet "
+            f"below the Nyquist frequency {sample_rate_hz / 2} Hz"
         )
-    ratio_sum = np.zeros(len(candidates))
-    for tree in trees:
-        ratios = energy_ratios(tree, level)
-        ratio_sum += [ratios[j - 1] for j in candidates]
-    means = ratio_sum / len(trees)
+    means = np.mean([[row[j - 1] for j in candidates] for row in ratio_rows], axis=0)
     best = int(np.argmax(means))  # argmax takes the first (lowest index) tie
     chosen = candidates[best]
-    return PacketChoice(
-        level=level,
-        packet_index=chosen,
-        mean_energy_ratio=float(means[best]),
-        band=packet_band(level, chosen, fs),
-        candidate_ratios={j: float(m) for j, m in zip(candidates, means)},
-    )
+    chosen_band = packet_band(level, chosen, sample_rate_hz)
+    return {
+        "kind": "packet",
+        "level": level,
+        "index": chosen,
+        "mean_energy_ratio": float(means[best]),
+        "candidates": {str(j): float(m) for j, m in zip(candidates, means)},
+        "band_hz": [chosen_band.low_hz, chosen_band.high_hz],
+    }
 
 
-def _in_band_fraction(imf, band, sample_rate_hz):
+def in_band_fraction(imf, band, sample_rate_hz):
+    """Share of the IMF's spectral energy inside `band` (0 for a zero IMF)."""
     imf = np.asarray(imf, dtype=float)
     spectrum = np.abs(np.fft.rfft(imf)) ** 2
     total = float(spectrum.sum())
@@ -75,27 +64,27 @@ def _in_band_fraction(imf, band, sample_rate_hz):
     return float(spectrum[mask].sum()) / total
 
 
-def select_informative_imf(training_sets, config, sample_rate_hz):
-    """Pick the IMF index whose spectral energy falls most heavily inside the
-    chatter band, averaged over the training sets.  Ties break low.
+def select_imf(fraction_rows):
+    """Pick the 1-based IMF index whose chatter-band fraction is highest on
+    average.
 
-    IMF indices absent from a decomposition contribute zero to the average.
+    fraction_rows holds one row of in_band_fraction values per
+    chatter-labeled training sample.  Rows may differ in length: an IMF
+    index absent from a decomposition contributes zero to the average.
     """
-    sets = list(training_sets)
-    if not sets:
-        raise DomainError("need at least one training decomposition")
-    if any(s.n_imfs < 1 for s in sets):
+    rows = [np.asarray(row, dtype=float) for row in fraction_rows]
+    if not rows:
+        raise DomainError(_NO_ROWS)
+    if any(row.size == 0 for row in rows):
         raise DomainError("every training decomposition needs at least one IMF")
-    band = FrequencyBand(*config.chatter_band_hz)
-    max_imfs = max(s.n_imfs for s in sets)
-    scores = np.zeros(max_imfs)
-    for s in sets:
-        for i in range(s.n_imfs):
-            scores[i] += _in_band_fraction(s.imfs[i], band, sample_rate_hz)
-    scores /= len(sets)
-    best = int(np.argmax(scores))
-    return ImfChoice(
-        imf_index=best + 1,
-        band_overlap_score=float(scores[best]),
-        scores=tuple(float(v) for v in scores),
-    )
+    scores = np.zeros(max(row.size for row in rows))
+    for row in rows:
+        scores[: row.size] += row
+    scores /= len(rows)
+    chosen = int(np.argmax(scores)) + 1
+    return {
+        "kind": "imf",
+        "index": chosen,
+        "band_overlap_score": float(scores[chosen - 1]),
+        "scores": [float(v) for v in scores],
+    }

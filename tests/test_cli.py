@@ -46,6 +46,18 @@ class TestPreprocess:
         assert code == 2
         assert json.loads(err)["error"] == "IOError"
 
+    def test_non_finite_sample_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        src.write_text("0.5\n0.25\nnan\n0.75\n")
+        code, _, err = run(
+            capsys, "preprocess", "--input", str(src),
+            "--sample-rate", "160000", "--target-rate", "10000",
+        )
+        assert code == 1
+        record = json.loads(err)
+        assert record["error"] == "ParseError"
+        assert "line 3" in record["message"]
+
     def test_bad_rate_exit_1(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"
         np.savetxt(src, np.arange(100.0), delimiter=",")
@@ -171,13 +183,61 @@ class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, corpus, capsys, tmp_path):
         tmp, manifest = corpus
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"level": 3, "stickout": "wrong"}))
+        cfg.write_text(json.dumps({"level": 3, "stickout": "wrong", "no-such-flag": 1}))
         code, out, _ = run(
             capsys, "select", "--config", str(cfg), "--manifest", str(manifest),
             "--stickout", "synth", "--method", "wpt", "--out", str(tmp_path),
         )
-        # level came from the config file, stickout from the explicit flag
+        # level came from the config file, stickout from the explicit flag;
+        # the key that names no flag is ignored
         assert code == 0
         stored = json.loads(open(json.loads(out)["output"]).read())
         assert stored["level"] == 3
         assert stored["stickout_id"] == "synth"
+
+    def test_string_values_are_converted_like_flags(self, corpus, capsys, tmp_path):
+        tmp, manifest = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"level": "3", "realizations": "2"}))
+        code, out, _ = run(
+            capsys, "evaluate-within", "--config", str(cfg),
+            "--manifest", str(manifest), "--stickout", "synth", "--method", "wpt",
+            "--classifier", "logreg", "--out", str(tmp_path),
+        )
+        assert code == 0
+        report = json.loads(open(json.loads(out)["output"]).read())
+        assert report["spec"]["level"] == 3
+        assert report["n_realizations"] == 2
+
+    @pytest.mark.parametrize("values", [
+        {"level": "three"},
+        {"realizations": 2.5},
+        {"level": True},
+        {"grouped-split": "yes"},
+        {"method": "dwt"},
+    ])
+    def test_bad_value_is_a_usage_error(self, corpus, capsys, tmp_path, values):
+        tmp, manifest = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evaluate-within", "--config", str(cfg),
+                "--manifest", str(manifest), "--stickout", "synth",
+                "--method", "wpt", "--classifier", "logreg", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_abbreviated_flag_beats_config(self, corpus, capsys, tmp_path):
+        tmp, manifest = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"level": 3}))
+        code, out, _ = run(
+            capsys, "select", "--config", str(cfg), "--manifest", str(manifest),
+            "--stickout", "synth", "--method", "wpt", "--lev", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        stored = json.loads(open(json.loads(out)["output"]).read())
+        assert stored["level"] == 2

@@ -5,10 +5,7 @@ import pytest
 
 from chatterdetect import (
     DomainError,
-    FeatureExtractionError,
-    FeatureMatrix,
     ImfSet,
-    build_feature_matrix,
     eemd_features,
     magnitude_spectrum,
     wpt_features,
@@ -95,40 +92,40 @@ class TestWptFeatures:
         for _ in range(30):
             n = int(rng.integers(16, 64))
             x = rng.standard_normal(n) * rng.uniform(0.1, 10)
-            got = wpt_features(x, 1000.0).as_array()
+            got = wpt_features(x, 1000.0)
             want = oracle_wpt_features(x, 1000.0)
             assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_sine_crest_factor(self):
         x = np.sin(2 * np.pi * np.arange(1000) / 100.0)
-        vals = wpt_features(x, 1000.0).as_array()
+        vals = wpt_features(x, 1000.0)
         assert abs(vals[6] - math.sqrt(2)) < 0.01  # crest factor of a sine
 
     def test_sine_one_step_autocorr(self):
         fs, f = 10000.0, 950.0
         x = np.sin(2 * np.pi * f * np.arange(4000) / fs)
-        vals = wpt_features(x, fs).as_array()
+        vals = wpt_features(x, fs)
         assert abs(vals[11] - math.cos(2 * math.pi * f / fs)) < 1e-3
 
     def test_sine_frequency_center(self):
         fs, f = 10000.0, 1250.0
         x = np.sin(2 * np.pi * f * np.arange(8000) / fs)
-        vals = wpt_features(x, fs).as_array()
+        vals = wpt_features(x, fs)
         assert abs(vals[12] - f) < 1.0
         assert abs(vals[10] - f * f) / (f * f) < 0.01
 
     def test_ratio_features_scale_invariant(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(200)
-        base = wpt_features(x, 1000.0).as_array()
-        scaled = wpt_features(7.5 * x, 1000.0).as_array()
+        base = wpt_features(x, 1000.0)
+        scaled = wpt_features(7.5 * x, 1000.0)
         # a5..a14 are scale-free; a1..a4 scale linearly
         assert np.allclose(scaled[:4], 7.5 * base[:4])
         assert np.allclose(scaled[4:], base[4:], rtol=1e-9)
 
     def test_mean_and_peak(self):
         x = np.array([1.0, -3.0, 2.0, 0.0])
-        vals = wpt_features(x, 10.0).as_array()
+        vals = wpt_features(x, 10.0)
         assert vals[0] == 0.0
         assert vals[3] == 3.0
 
@@ -151,30 +148,30 @@ class TestEemdFeatures:
         for seed in range(10):
             imfs = self.make_imfs(seed)
             for idx in (1, 2, 3):
-                got = eemd_features(imfs, idx).as_array()
+                got = eemd_features(imfs, idx)
                 want = oracle_eemd_features(imfs.imfs, idx)
                 assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_energy_ratios_sum_to_one(self):
         imfs = self.make_imfs(4)
         total = sum(
-            eemd_features(imfs, i + 1).as_array()[0] for i in range(imfs.n_imfs)
+            eemd_features(imfs, i + 1)[0] for i in range(imfs.n_imfs)
         )
         assert abs(total - 1.0) < 1e-12
 
     def test_residue_excluded_from_energy(self):
         c = np.sin(np.linspace(0, 20, 100))
         imfs = ImfSet([c], np.full(100, 100.0))
-        assert eemd_features(imfs, 1).as_array()[0] == 1.0
+        assert eemd_features(imfs, 1)[0] == 1.0
 
     def test_peak_to_peak(self):
         c = np.array([-2.0, 0.5, 3.0, 1.0])
-        vals = eemd_features(ImfSet([c], np.zeros(4)), 1).as_array()
+        vals = eemd_features(ImfSet([c], np.zeros(4)), 1)
         assert vals[1] == 5.0
 
     def test_crest_uses_signed_max(self):
         c = np.array([-3.0, 1.0, -1.0, 1.0])
-        vals = eemd_features(ImfSet([c], np.zeros(4)), 1).as_array()
+        vals = eemd_features(ImfSet([c], np.zeros(4)), 1)
         rms = math.sqrt(3.0)
         assert abs(vals[4] - 1.0 / rms) < 1e-12
 
@@ -184,41 +181,3 @@ class TestEemdFeatures:
             eemd_features(imfs, 0)
         with pytest.raises(DomainError):
             eemd_features(imfs, 4)
-
-
-class TestBuildFeatureMatrix:
-    def samples(self):
-        rng = np.random.default_rng(3)
-        return [(rng.standard_normal(64), i % 2) for i in range(6)]
-
-    def test_shapes_and_order(self):
-        extractor = lambda x: wpt_features(x, 1000.0).as_array()
-        fm = build_feature_matrix(self.samples(), extractor,
-                                  [f"a{i}" for i in range(1, 15)])
-        assert fm.X.shape == (6, 14)
-        assert list(fm.y) == [0, 1, 0, 1, 0, 1]
-
-    def test_failures_aggregated_with_ids(self):
-        samples = [(np.ones(64), 0), (np.zeros(64), 1), (np.zeros(64), 0)]
-        extractor = lambda x: wpt_features(x, 1000.0).as_array()
-        with pytest.raises(FeatureExtractionError) as err:
-            build_feature_matrix(samples, extractor, [f"a{i}" for i in range(14)],
-                                 sample_ids=["s0", "s1", "s2"])
-        assert err.value.sample_ids == ["s1", "s2"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            build_feature_matrix([], lambda x: x, [])
-
-    def test_misaligned_names_rejected(self):
-        with pytest.raises(DomainError):
-            FeatureMatrix(np.ones((2, 3)), np.zeros(2), ("one", "two"))
-
-    def test_csv_round_trip(self, tmp_path):
-        fm = FeatureMatrix(np.arange(6.0).reshape(2, 3), np.array([0, 1]),
-                           ("p", "q", "r"))
-        path = tmp_path / "features.csv"
-        fm.to_csv(path)
-        body = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.allclose(body[:, :3], fm.X)
-        assert np.allclose(body[:, 3], fm.y)

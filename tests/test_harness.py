@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatterdetect import (
+    DomainError,
     EemdParams,
     ExperimentReport,
     ExperimentSpec,
@@ -17,6 +20,7 @@ from chatterdetect import (
     run_transfer_combined,
     run_within,
 )
+from chatterdetect.harness import _draw_split
 from synthetic_corpus import make_config, make_segments, write_corpus_files
 
 FAST_EEMD = EemdParams(ensemble_size=4, master_seed=0)
@@ -94,6 +98,47 @@ class TestPreparation:
         segs = make_segments(seed=1, n_stable=1, n_chatter=1, seg_len=500)
         with pytest.raises(ValidationError):
             prepare_eemd_config(make_config(), segs, window_len=1000)
+
+
+@st.composite
+def labeled_groups(draw):
+    """Shuffled labels with at least two single-class groups per class."""
+    labels, groups = [], []
+    for cls in (0, 1):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+        for g, size in enumerate(sizes):
+            labels += [cls] * size
+            groups += [(cls, g)] * size
+    order = draw(st.permutations(range(len(labels))))
+    return np.asarray(labels)[order], [groups[i] for i in order]
+
+
+class TestDrawSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_groups(), st.floats(0.3, 0.7), st.booleans(), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_invariants(self, data, fraction, grouped, need_complement, seed):
+        labels, groups = data
+        groups = groups if grouped else None
+
+        def draw():
+            return _draw_split(labels, fraction, np.random.default_rng(seed),
+                               groups, need_complement=need_complement)
+
+        part, rest = draw()
+        assert np.all(np.diff(part) > 0) and np.all(np.diff(rest) > 0)
+        assert sorted([*part, *rest]) == list(range(labels.size))
+        assert set(labels[part]) == {0, 1}
+        if need_complement:
+            assert set(labels[rest]) == {0, 1}
+        if grouped:
+            assert {groups[i] for i in part}.isdisjoint(groups[i] for i in rest)
+        again = draw()
+        assert np.array_equal(part, again[0]) and np.array_equal(rest, again[1])
+
+    def test_single_class_rejected(self):
+        with pytest.raises(DomainError):
+            _draw_split(np.zeros(6, dtype=int), 0.5, np.random.default_rng(0))
 
 
 class TestRunWithin:

@@ -55,6 +55,24 @@ class TestLoadTimeseries:
         ts = load_timeseries(write(tmp_path, "time_s,acc\n0.0,1.0\n0.001,2.0\n"), 1000)
         assert ts.samples.size == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_rejected_with_line(self, tmp_path, token):
+        path = write(tmp_path, f"1.0\n2.0\n{token}\n3.0\n")
+        with pytest.raises(ParseError, match="line 3.*non-finite"):
+            load_timeseries(path, 10000)
+
+    def test_non_finite_time_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="line 2"):
+            load_timeseries(write(tmp_path, "0.0,0.5\ninf,0.7\n"), 10000)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=50))
+    def test_csv_round_trip(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        assert load_timeseries(path, 10000).samples.tolist() == values
+
 
 class TestLoadLabels:
     def test_basic(self, tmp_path):
@@ -65,6 +83,10 @@ class TestLoadLabels:
     def test_unknown_label_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             load_labels(write(tmp_path, "0,1,weird\n"))
+
+    def test_non_finite_bound_rejected_with_line(self, tmp_path):
+        with pytest.raises(ParseError, match="line 2.*end_s"):
+            load_labels(write(tmp_path, "0,1,stable\n1,nan,chatter\n"))
 
 
 class TestDesignLowpass:

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from chatterdetect import (
-    CuttingConfig,
     DomainError,
+    EemdParams,
+    FrequencyBand,
     ImfSet,
     TimeSeries,
     eemd,
     emd,
-    select_informative_imf,
-    select_informative_packet,
+    energy_ratios,
+    in_band_fraction,
+    select_imf,
+    select_packet,
     wpt_decompose,
 )
-from synthetic_corpus import BAND, FS, make_config, make_segments
+from synthetic_corpus import BAND, FS, make_segments
+
+CHATTER_BAND = FrequencyBand(*BAND)
 
 
 def chatter_trees(level=3, n=4, seed=0, chatter_hz=950.0):
@@ -21,28 +26,39 @@ def chatter_trees(level=3, n=4, seed=0, chatter_hz=950.0):
     return [wpt_decompose(s.series, level) for s in segments]
 
 
+def packet_choice(trees, level, band=CHATTER_BAND):
+    rows = [energy_ratios(t, level) for t in trees]
+    return select_packet(rows, band, level, FS)
+
+
+def imf_choice(sets):
+    return select_imf(
+        [[in_band_fraction(c, CHATTER_BAND, FS) for c in s.imfs] for s in sets]
+    )
+
+
 class TestSelectInformativePacket:
     def test_picks_chatter_band_packet_level3(self):
-        choice = select_informative_packet(chatter_trees(3), 3, make_config())
+        choice = packet_choice(chatter_trees(3), 3)
         # 900-1000 Hz lies inside the 625-1250 Hz packet
-        assert choice.packet_index == 2
-        assert choice.band.low_hz == 625 and choice.band.high_hz == 1250
+        assert choice["kind"] == "packet" and choice["level"] == 3
+        assert choice["index"] == 2
+        assert choice["band_hz"] == [625, 1250]
 
     def test_picks_chatter_band_packet_level4(self):
-        choice = select_informative_packet(chatter_trees(4), 4, make_config())
+        choice = packet_choice(chatter_trees(4), 4)
         # the 950 Hz tone falls in 937.5-1250 Hz, the upper of two candidates
-        assert sorted(choice.candidate_ratios) == [3, 4]
-        assert choice.packet_index == 4
+        assert list(choice["candidates"]) == ["3", "4"]
+        assert choice["index"] == 4
 
     def test_tone_position_moves_choice(self):
-        low = select_informative_packet(
-            chatter_trees(4, chatter_hz=910.0), 4, make_config())
-        assert low.packet_index == 3
+        low = packet_choice(chatter_trees(4, chatter_hz=910.0), 4)
+        assert low["index"] == 3
 
     def test_mean_ratio_bounds(self):
-        choice = select_informative_packet(chatter_trees(3), 3, make_config())
-        assert 0.0 < choice.mean_energy_ratio <= 1.0
-        assert choice.mean_energy_ratio == choice.candidate_ratios[2]
+        choice = packet_choice(chatter_trees(3), 3)
+        assert 0.0 < choice["mean_energy_ratio"] <= 1.0
+        assert choice["mean_energy_ratio"] == choice["candidates"]["2"]
 
     def test_scale_invariant(self):
         trees = chatter_trees(4, n=2)
@@ -54,24 +70,26 @@ class TestSelectInformativePacket:
             )
             for t in trees
         ]
-        a = select_informative_packet(trees, 4, make_config())
-        b = select_informative_packet(scaled, 4, make_config())
-        assert a.packet_index == b.packet_index
+        assert packet_choice(trees, 4)["index"] == packet_choice(scaled, 4)["index"]
 
     def test_deterministic(self):
         trees = chatter_trees(3)
-        a = select_informative_packet(trees, 3, make_config())
-        b = select_informative_packet(trees, 3, make_config())
-        assert a == b
+        assert packet_choice(trees, 3) == packet_choice(trees, 3)
 
     def test_band_outside_nyquist_rejected(self):
-        config = CuttingConfig("x", (6000.0, 7000.0))
         with pytest.raises(DomainError):
-            select_informative_packet(chatter_trees(3, n=1), 3, config)
+            packet_choice(chatter_trees(3, n=1), 3, FrequencyBand(6000.0, 7000.0))
 
     def test_no_trees_rejected(self):
         with pytest.raises(DomainError):
-            select_informative_packet([], 3, make_config())
+            packet_choice([], 3)
+
+    def test_tie_breaks_to_lower_packet(self):
+        # level 4 candidates are packets 3 and 4; give both the same ratio
+        rows = [np.full(16, 1 / 16), np.full(16, 1 / 16)]
+        choice = select_packet(rows, CHATTER_BAND, 4, FS)
+        assert choice["candidates"]["3"] == choice["candidates"]["4"]
+        assert choice["index"] == 3
 
 
 class TestSelectInformativeImf:
@@ -82,29 +100,29 @@ class TestSelectInformativeImf:
 
     def test_picks_band_dominant_imf(self):
         sets = self.decompositions()
-        choice = select_informative_imf(sets, make_config(), FS)
+        choice = imf_choice(sets)
         frac_best = np.mean([
-            _frac(s.imfs[choice.imf_index - 1]) for s in sets
-            if s.n_imfs >= choice.imf_index
+            _frac(s.imfs[choice["index"] - 1]) for s in sets
+            if s.n_imfs >= choice["index"]
         ])
         others = [
             np.mean([_frac(s.imfs[i]) for s in sets if s.n_imfs > i])
             for i in range(max(s.n_imfs for s in sets))
-            if i != choice.imf_index - 1
+            if i != choice["index"] - 1
         ]
         assert frac_best > max(others)
-        assert 0.0 < choice.band_overlap_score <= 1.0
+        assert 0.0 < choice["band_overlap_score"] <= 1.0
 
     def test_synthetic_two_component(self):
         # component 1 in band, component 2 far below: index 1 must win
         t = np.arange(2000) / FS
         fast = np.sin(2 * np.pi * 950.0 * t)
         slow = np.sin(2 * np.pi * 50.0 * t)
-        sets = [ImfSet([fast, slow], np.zeros(t.size))]
-        choice = select_informative_imf(sets, make_config(), FS)
-        assert choice.imf_index == 1
-        assert choice.band_overlap_score > 0.95
-        assert choice.scores[1] < 0.05
+        choice = imf_choice([ImfSet([fast, slow], np.zeros(t.size))])
+        assert choice["kind"] == "imf"
+        assert choice["index"] == 1
+        assert choice["band_overlap_score"] > 0.95
+        assert choice["scores"][1] < 0.05
 
     def test_absent_imfs_score_zero(self):
         t = np.arange(2000) / FS
@@ -112,35 +130,39 @@ class TestSelectInformativeImf:
         slow = np.sin(2 * np.pi * 50.0 * t)
         deep = ImfSet([slow.copy(), slow.copy(), fast], np.zeros(t.size))
         shallow = ImfSet([slow.copy()], np.zeros(t.size))
-        choice = select_informative_imf([deep, shallow], make_config(), FS)
+        choice = imf_choice([deep, shallow])
         # the in-band component only exists in one of two sets, so its mean
         # halves but still beats the out-of-band components
-        assert choice.imf_index == 3
-        assert choice.band_overlap_score < 0.55
+        assert choice["index"] == 3
+        assert choice["band_overlap_score"] < 0.55
 
     def test_deterministic(self):
         sets = self.decompositions(n=2)
-        a = select_informative_imf(sets, make_config(), FS)
-        b = select_informative_imf(sets, make_config(), FS)
-        assert a == b
+        assert imf_choice(sets) == imf_choice(sets)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            select_informative_imf([], make_config(), FS)
+            imf_choice([])
 
     def test_set_without_imfs_rejected(self):
-        empty = ImfSet([], np.zeros(100))
         with pytest.raises(DomainError):
-            select_informative_imf([empty], make_config(), FS)
+            imf_choice([ImfSet([], np.zeros(100))])
 
     def test_eemd_input_accepted(self):
         segments = make_segments(seed=1, n_stable=0, n_chatter=1, seg_len=1000)
-        from chatterdetect import EemdParams
-
         sets = [eemd(segments[0].series.samples,
                      EemdParams(ensemble_size=4, master_seed=0))]
-        choice = select_informative_imf(sets, make_config(), FS)
-        assert 1 <= choice.imf_index <= sets[0].n_imfs
+        choice = imf_choice(sets)
+        assert 1 <= choice["index"] <= sets[0].n_imfs
+
+    def test_tie_breaks_to_lower_imf(self):
+        choice = select_imf([[0.1, 0.4, 0.4], [0.1, 0.4, 0.4]])
+        assert choice["scores"][1] == choice["scores"][2]
+        assert choice["index"] == 2
+
+
+def test_in_band_fraction_of_zero_imf_is_zero():
+    assert in_band_fraction(np.zeros(64), CHATTER_BAND, FS) == 0.0
 
 
 def _frac(c):
