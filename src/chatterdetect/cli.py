@@ -22,7 +22,7 @@ import numpy as np
 
 from . import harness
 from .emd import EemdParams, eemd
-from .errors import ChatterDetectError
+from .errors import ChatterDetectError, ValidationError
 from .ingest import (
     design_lowpass,
     filter_and_downsample,
@@ -221,7 +221,11 @@ def _cmd_features(args):
 
 def _cmd_train(args):
     table = np.genfromtxt(args.features, delimiter=",", names=True)
-    names = list(table.dtype.names)
+    names = list(table.dtype.names or ())
+    if "label" not in names:
+        raise ValidationError(
+            f"{args.features}: no 'label' column (columns: {', '.join(names)})"
+        )
     y = np.asarray(table["label"], dtype=int)
     X = np.column_stack([table[c] for c in names if c != "label"])
     trainer = make_trainer(_classifier_name(args.classifier), seed=args.seed)

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import DomainError, ValidationError
 
@@ -68,13 +68,12 @@ def find_extrema(x):
         return np.array([], dtype=int), np.array([], dtype=int)
     d = np.diff(x)
     nz = np.flatnonzero(d)
-    maxima, minima = [], []
-    for a, b in zip(nz[:-1], nz[1:]):
-        if d[a] > 0 and d[b] < 0:
-            maxima.append((a + 1 + b) // 2)
-        elif d[a] < 0 and d[b] > 0:
-            minima.append((a + 1 + b) // 2)
-    return np.asarray(maxima, dtype=int), np.asarray(minima, dtype=int)
+    # consecutive non-zero differences a < b bracket a run of equal samples
+    # (a+1 .. b) that is a peak when the signal rises into it and falls out
+    up = d[nz] > 0
+    down = d[nz] < 0
+    mid = (nz[:-1] + 1 + nz[1:]) // 2
+    return mid[up[:-1] & down[1:]], mid[down[:-1] & up[1:]]
 
 
 def zero_crossings(x):
@@ -99,25 +98,64 @@ def _mirrored_knots(idx, val, n, n_mirror=2):
     return t[keep], v[keep]
 
 
-def envelope_mean(x):
+def _natural_spline(t, v, n):
+    """Natural cubic spline through the knots (t, v), evaluated at 0..n-1.
+
+    Performs the arithmetic of scipy.interpolate's natural cubic spline in
+    the same order (banded system, LAPACK gtsv solve, Hermite coefficients,
+    PPoly power-sum evaluation), so the values are bitwise equal to it, but
+    without its per-call validation and wrapping.  t must be strictly
+    increasing, and t and v finite.
+    """
+    t = t.astype(float)
+    k = t.size
+    dx = np.diff(t)
+    slope = np.diff(v) / dx
+    ab = np.zeros((3, k))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b = np.empty(k)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # natural ends: zero second derivative, written as scipy writes them
+    ab[1, 0] = 2 * dx[0]
+    ab[0, 1] = dx[0]
+    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (v[1] - v[0])
+    ab[1, -1] = 2 * dx[-1]
+    ab[-1, -2] = dx[-1]
+    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (v[-1] - v[-2])
+    d = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    tc = (d[:-1] + d[1:] - 2 * slope) / dx
+    c0 = tc / dx
+    c1 = (slope - d[:-1]) / dx - tc
+    grid = np.arange(n, dtype=float)
+    i = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, k - 2)
+    s = grid - t[i]
+    z = s * s
+    out = 0.0 + v[i]
+    out += d[i] * s
+    out += c1[i] * z
+    z *= s
+    out += c0[i] * z
+    return out
+
+
+def envelope_mean(x, extrema=None):
     """Mean of the upper and lower cubic-spline envelopes, or None when the
-    signal has too few extrema to envelope (monotonic-like)."""
+    signal has too few extrema to envelope (monotonic-like).
+
+    extrema, when given, is find_extrema(x), so a caller that already has
+    it does not compute it again.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
-    maxima, minima = find_extrema(x)
+    maxima, minima = find_extrema(x) if extrema is None else extrema
     if maxima.size < 2 or minima.size < 2:
         return None
-    grid = np.arange(n)
     tu, vu = _mirrored_knots(maxima, x[maxima], n)
     tl, vl = _mirrored_knots(minima, x[minima], n)
-    upper = CubicSpline(tu, vu, bc_type="natural")(grid)
-    lower = CubicSpline(tl, vl, bc_type="natural")(grid)
-    return (upper + lower) / 2.0
-
-
-def _imf_condition(h):
-    maxima, minima = find_extrema(h)
-    return abs((maxima.size + minima.size) - zero_crossings(h)) <= 1
+    return (_natural_spline(tu, vu, n) + _natural_spline(tl, vl, n)) / 2.0
 
 
 def sift_imf(r, stop=None):
@@ -137,19 +175,31 @@ def sift_imf(r, stop=None):
         denom = float(np.sum(h**2))
         sd = float(np.sum(m**2)) / denom if denom > 0 else 0.0
         h = h_new
-        if sd < stop.sd_threshold and _imf_condition(h):
-            break
-        m = envelope_mean(h)
+        extrema = find_extrema(h)
+        if sd < stop.sd_threshold:
+            # the IMF condition: extrema and zero crossings differ by <= 1
+            maxima, minima = extrema
+            if abs((maxima.size + minima.size) - zero_crossings(h)) <= 1:
+                break
+        m = envelope_mean(h, extrema)
         if m is None:
             break
     return h, False
 
 
-def emd(x, max_imfs=10, stop=None):
-    """Plain EMD: successive sifting until a monotonic residue remains."""
+def _as_signal(x):
     x = np.asarray(x, dtype=float)
     if x.size < 4:
         raise DomainError("need at least 4 samples to decompose")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"sample {bad[0]} is not finite ({x[bad[0]]})")
+    return x
+
+
+def emd(x, max_imfs=10, stop=None):
+    """Plain EMD: successive sifting until a monotonic residue remains."""
+    x = _as_signal(x)
     if stop is None:
         stop = SiftStop()
     residue = x.copy()
@@ -177,9 +227,7 @@ def eemd(x, params=None, n_workers=1):
     (master_seed, member index), and members are aggregated by index, so the
     result is bitwise identical for any worker count.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size < 4:
-        raise DomainError("need at least 4 samples to decompose")
+    x = _as_signal(x)
     if params is None:
         params = EemdParams()
     sigma = float(np.std(x))

@@ -64,6 +64,8 @@ class ExperimentSpec:
             if tuple(self.train_configs) != tuple(self.test_configs):
                 raise ValidationError("within mode requires train config == test config")
         elif self.mode == "transfer":
+            if len(self.train_configs) != 1 or len(self.test_configs) != 1:
+                raise ValidationError("transfer mode takes one train and one test config")
             if set(self.train_configs) & set(self.test_configs):
                 raise ValidationError("transfer mode requires disjoint train/test configs")
         elif self.mode == "transfer-combined":

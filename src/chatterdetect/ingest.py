@@ -85,7 +85,10 @@ class CuttingConfig:
     def __post_init__(self):
         low, high = self.chatter_band_hz
         if not 0 < low < high:
-            raise ValidationError("chatter band must satisfy 0 < low < high")
+            raise ValidationError(
+                f"stickout {self.stickout_id!r}: chatter band must satisfy "
+                f"0 < low < high, got {self.chatter_band_hz}"
+            )
 
 
 # Chatter bands per stickout length (inches), as identified from the cutting
@@ -268,14 +271,26 @@ def load_manifest(path):
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON: {exc.msg}", exc.lineno) from None
     if isinstance(doc, list):
         raw_records, raw_configs = doc, {}
-    else:
+    elif isinstance(doc, dict):
         raw_records = doc.get("records", [])
         raw_configs = doc.get("configs", {})
+    else:
+        raise ValidationError(
+            f"{path}: manifest must be a list of records or an object, "
+            f"got {type(doc).__name__}"
+        )
+    if not isinstance(raw_records, list) or not isinstance(raw_configs, dict):
+        raise ValidationError(f"{path}: records must be a list and configs an object")
     records = []
     for i, rec in enumerate(raw_records):
+        if not isinstance(rec, dict):
+            raise ValidationError(f"{path}: manifest record {i} is not an object")
         try:
             signal_path = str((path.parent / rec["signal_path"]).resolve())
             label_path = str((path.parent / rec["label_path"]).resolve())
@@ -291,11 +306,21 @@ def load_manifest(path):
                 )
             )
         except KeyError as exc:
-            raise ValidationError(f"manifest record {i} missing field {exc}") from None
-    configs = {
-        sid: CuttingConfig(sid, tuple(spec["chatter_band_hz"]))
-        for sid, spec in raw_configs.items()
-    }
+            raise ValidationError(f"{path}: manifest record {i} missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: manifest record {i}: {exc}") from None
+    configs = {}
+    for sid, spec in raw_configs.items():
+        band = spec.get("chatter_band_hz") if isinstance(spec, dict) else None
+        if not (
+            isinstance(band, list)
+            and len(band) == 2
+            and all(isinstance(f, (int, float)) and not isinstance(f, bool) for f in band)
+        ):
+            raise ValidationError(
+                f"{path}: config {sid!r} needs chatter_band_hz as two numbers, got {band!r}"
+            )
+        configs[sid] = CuttingConfig(sid, tuple(band))
     return Manifest(records, configs)
 
 

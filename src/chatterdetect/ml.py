@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 MODEL_FORMAT = "chatterdetect-model-v1"
 
@@ -111,6 +111,16 @@ def _check_two_classes(y):
     return y
 
 
+def _check_finite(X):
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValidationError(
+            f"feature matrix holds {X[row, col]} at row {row}, column {col}"
+        )
+    return X
+
+
 def _sigmoid(z):
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -128,7 +138,7 @@ def train_svm(X, y, C=1.0, tol=1e-4, max_passes=20000, standardize=True):
     drops below tol (relative to max(1, primal)).
     """
     y = _check_two_classes(y)
-    X = np.asarray(X, dtype=float)
+    X = _check_finite(X)
     std = Standardizer.fit(X) if standardize else None
     Z = std.transform(X) if std is not None else X
     n, d = Z.shape
@@ -169,7 +179,7 @@ def train_logistic(X, y, l2=1e-4, tol=1e-6, max_iter=10000, standardize=True):
     under perfect separation; convergence is gradient inf-norm <= tol.
     """
     y = _check_two_classes(y)
-    X = np.asarray(X, dtype=float)
+    X = _check_finite(X)
     std = Standardizer.fit(X) if standardize else None
     Z = std.transform(X) if std is not None else X
     n, d = Z.shape
@@ -423,7 +433,7 @@ def train_forest(X, y, n_trees=100, max_depth=2, seed=0):
     candidate features, majority vote.  Per-tree streams derive from
     (seed, tree index), so results are schedule-independent."""
     y = _check_two_classes(y)
-    X = np.asarray(X, dtype=float)
+    X = _check_finite(X)
     n, d = X.shape
     n_candidates = max(1, int(np.sqrt(d)))
     importances = np.zeros(d)
@@ -473,7 +483,7 @@ def train_boosting(X, y, n_stages=100, learning_rate=0.1, tree_depth=3, seed=0):
     Newton step scaled by the learning rate.
     """
     y = _check_two_classes(y)
-    X = np.asarray(X, dtype=float)
+    X = _check_finite(X)
     n, d = X.shape
     p0 = y.mean()
     base = float(np.log(p0 / (1.0 - p0)))

@@ -241,3 +241,59 @@ class TestConfigFile:
         assert code == 0
         stored = json.loads(open(json.loads(out)["output"]).read())
         assert stored["level"] == 2
+
+
+def error_record(err):
+    [line] = err.splitlines()
+    return json.loads(line)
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("text, error, fragment", [
+        ("{not json", "ParseError", "line 1"),
+        ('{"records": [], "configs": {"x": {}}}', "ValidationError", "'x'"),
+        ('{"records": [], "configs": {"x": {"chatter_band_hz": [900]}}}',
+         "ValidationError", "'x'"),
+        ("3", "ValidationError", "manifest must be"),
+        ('[{"signal_path": "s.csv", "label_path": "l.csv", "stickout_id": "x",'
+         ' "sample_rate_hz": "fast"}]', "ValidationError", "record 0"),
+    ])
+    def test_bad_manifest_exit_1(self, tmp_path, capsys, text, error, fragment):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "x",
+            "--method", "wpt",
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == error
+        assert fragment in record["message"]
+        assert str(manifest) in record["message"]
+
+    def test_train_without_label_column_exit_1(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
+        code, _, err = run(
+            capsys, "train", "--features", str(features), "--classifier", "svm",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert "label" in record["message"] and str(features) in record["message"]
+
+    @pytest.mark.parametrize("train, test", [(["A", "B", "C"], ["D"]),
+                                             (["A"], ["C", "D"])])
+    def test_transfer_config_counts_exit_1(self, corpus, capsys, tmp_path,
+                                           train, test):
+        _, manifest = corpus
+        code, _, err = run(
+            capsys, "evaluate-transfer", "--manifest", str(manifest),
+            "--train-config", *train, "--test-config", *test,
+            "--method", "wpt", "--classifier", "svm", "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert "one train and one test" in record["message"]

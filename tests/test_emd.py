@@ -1,5 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from chatterdetect import (
     DomainError,
@@ -12,7 +17,7 @@ from chatterdetect import (
     find_extrema,
     sift_imf,
 )
-from chatterdetect.emd import zero_crossings
+from chatterdetect.emd import _mirrored_knots, zero_crossings
 
 
 def two_tone(n=512, fs=1000.0):
@@ -20,7 +25,57 @@ def two_tone(n=512, fs=1000.0):
     return np.sin(2 * np.pi * 5 * t) + 0.4 * np.sin(2 * np.pi * 60 * t)
 
 
+def reference_extrema(x):
+    """The original per-index loop, kept as the oracle for find_extrema."""
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.array([], dtype=int), np.array([], dtype=int)
+    d = np.diff(x)
+    nz = np.flatnonzero(d)
+    maxima, minima = [], []
+    for a, b in zip(nz[:-1], nz[1:]):
+        if d[a] > 0 and d[b] < 0:
+            maxima.append((a + 1 + b) // 2)
+        elif d[a] < 0 and d[b] > 0:
+            minima.append((a + 1 + b) // 2)
+    return np.asarray(maxima, dtype=int), np.asarray(minima, dtype=int)
+
+
+def reference_envelope_mean(x):
+    """scipy's natural cubic splines through the mirrored extrema: the
+    oracle for envelope_mean."""
+    maxima, minima = reference_extrema(x)
+    if maxima.size < 2 or minima.size < 2:
+        return None
+    grid = np.arange(x.size)
+    tu, vu = _mirrored_knots(maxima, x[maxima], x.size)
+    tl, vl = _mirrored_knots(minima, x[minima], x.size)
+    upper = CubicSpline(tu, vu, bc_type="natural")(grid)
+    lower = CubicSpline(tl, vl, bc_type="natural")(grid)
+    return (upper + lower) / 2.0
+
+
+# plateau-rich signals: small rounded integers, runs of repeated values, and
+# general floats
+signals = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=0, max_size=300),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 6)), max_size=80).map(
+        lambda runs: [v for v, k in runs for _ in range(k)]
+    ),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=300),
+).map(lambda values: np.asarray(values, dtype=float))
+
+
 class TestFindExtrema:
+    @settings(max_examples=300, deadline=None)
+    @given(signals)
+    def test_matches_reference_loop(self, x):
+        maxima, minima = find_extrema(x)
+        ref_max, ref_min = reference_extrema(x)
+        assert maxima.dtype == ref_max.dtype and minima.dtype == ref_min.dtype
+        assert np.array_equal(maxima, ref_max)
+        assert np.array_equal(minima, ref_min)
+
     def test_single_hump(self):
         x = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
         maxima, minima = find_extrema(x)
@@ -70,6 +125,16 @@ class TestZeroCrossings:
 
 
 class TestEnvelopeMean:
+    @settings(max_examples=300, deadline=None)
+    @given(signals)
+    def test_bitwise_equal_to_scipy_splines(self, x):
+        expected = reference_envelope_mean(x)
+        for m in (envelope_mean(x), envelope_mean(x, find_extrema(x))):
+            if expected is None:
+                assert m is None
+            else:
+                assert np.array_equal(m, expected)
+
     def test_pure_sine_mean_near_zero(self):
         t = np.arange(2000) / 1000.0
         m = envelope_mean(np.sin(2 * np.pi * 10 * t))
@@ -162,6 +227,15 @@ class TestEmd:
     def test_too_short_rejected(self):
         with pytest.raises(DomainError):
             emd(np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = two_tone()
+        x[37] = bad
+        with pytest.raises(DomainError, match="sample 37"):
+            emd(x)
+        with pytest.raises(DomainError, match="sample 37"):
+            eemd(x, EemdParams(ensemble_size=2))
 
     def test_invariants_over_many_signals(self):
         # reconstruction stays exact and every extracted component keeps the
@@ -259,6 +333,22 @@ class TestEemd:
         result = eemd(x, EemdParams(ensemble_size=4, noise_std_fraction=0.2))
         assert result.n_imfs == 0
         assert np.array_equal(result.residue, x)
+
+    def test_golden_digest(self):
+        # SHA-256 of the IMFs and residue as computed by the scipy-spline
+        # implementation; a faster sifting must reproduce it bit for bit
+        rng = np.random.default_rng(2024)
+        t = np.arange(1000) / 1000.0
+        x = (np.sin(2 * np.pi * 7 * t) + 0.5 * np.sin(2 * np.pi * 90 * t)
+             + 0.3 * rng.standard_normal(1000))
+        result = eemd(x, EemdParams(ensemble_size=20, master_seed=3))
+        digest = hashlib.sha256()
+        for c in result.imfs + [result.residue]:
+            digest.update(np.ascontiguousarray(c, dtype="<f8").tobytes())
+        assert result.n_imfs == 6
+        assert digest.hexdigest() == (
+            "3f3ade3c4257a463181a645db8f4b8b5615b2a6325967ff840fa88a039a490c9"
+        )
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValidationError):

@@ -57,6 +57,13 @@ class TestExperimentSpec:
         with pytest.raises(ValidationError):
             ExperimentSpec("wpt", "svm", ("a",), ("a",), mode="transfer")
 
+    @pytest.mark.parametrize("train, test", [(("a", "b", "c"), ("d",)),
+                                             (("a",), ("c", "d")),
+                                             (("a", "b"), ("c", "d"))])
+    def test_transfer_takes_one_config_per_side(self, train, test):
+        with pytest.raises(ValidationError, match="one train and one test"):
+            ExperimentSpec("wpt", "svm", train, test, mode="transfer")
+
     def test_combined_requires_four_distinct(self):
         with pytest.raises(ValidationError):
             ExperimentSpec("wpt", "svm", ("a", "b"), ("b", "c"),

@@ -5,6 +5,7 @@ from chatterdetect import (
     DomainError,
     FeatureRanking,
     Standardizer,
+    ValidationError,
     make_trainer,
     model_from_dict,
     nested_feature_accuracies,
@@ -245,6 +246,16 @@ class TestBoosting:
         model = train_boosting(X, y, n_stages=20, seed=0)
         clone = model_from_dict(model.to_dict())
         assert np.allclose(clone.decision_function(X), model.decision_function(X))
+
+
+@pytest.mark.parametrize("trainer", [train_svm, train_logistic, train_forest,
+                                     train_boosting])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_feature_rejected(trainer, bad):
+    X, y = blobs()
+    X[17, 2] = bad
+    with pytest.raises(ValidationError, match="row 17, column 2"):
+        trainer(X, y)
 
 
 class TestRfe:
