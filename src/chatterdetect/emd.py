@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, ValidationError
 
@@ -102,30 +102,27 @@ def _natural_spline(t, v, n):
     """Natural cubic spline through the knots (t, v), evaluated at 0..n-1.
 
     Performs the arithmetic of scipy.interpolate's natural cubic spline in
-    the same order (banded system, LAPACK gtsv solve, Hermite coefficients,
-    PPoly power-sum evaluation), so the values are bitwise equal to it, but
-    without its per-call validation and wrapping.  t must be strictly
-    increasing, and t and v finite.
+    the same order (the tridiagonal system solve_banded passes to LAPACK
+    gtsv, Hermite coefficients, PPoly power-sum evaluation), so the values
+    are bitwise equal to it, but without its per-call validation and
+    wrapping.  t must be strictly increasing, and t and v finite.
     """
     t = t.astype(float)
     k = t.size
     dx = np.diff(t)
     slope = np.diff(v) / dx
-    ab = np.zeros((3, k))
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
+    # the tridiagonal system scipy hands to gtsv, natural ends written as
+    # scipy writes them (zero second derivative)
+    lower = np.concatenate([dx[1:], dx[-1:]])
+    main = np.concatenate([2 * dx[:1], 2 * (dx[:-1] + dx[1:]), 2 * dx[-1:]])
+    upper = np.concatenate([dx[:1], dx[:-1]])
     b = np.empty(k)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # natural ends: zero second derivative, written as scipy writes them
-    ab[1, 0] = 2 * dx[0]
-    ab[0, 1] = dx[0]
     b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (v[1] - v[0])
-    ab[1, -1] = 2 * dx[-1]
-    ab[-1, -2] = dx[-1]
     b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (v[-1] - v[-2])
-    d = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    d, info = dgtsv(lower, main, upper, b, 1, 1, 1, 1)[3:]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"spline system not solvable (gtsv info {info})")
     tc = (d[:-1] + d[1:] - 2 * slope) / dx
     c0 = tc / dx
     c1 = (slope - d[:-1]) / dx - tc

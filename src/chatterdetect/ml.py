@@ -225,7 +225,6 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     value: float = 0.0
-    leaf_id: int = -1
 
     @property
     def is_leaf(self):
@@ -253,107 +252,103 @@ class TreeNode:
         )
 
 
-def _gini(counts):
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float(np.sum(p**2))
+def _impurity_gains(t, ts):
+    """Gini impurity decrease of every cut: t holds the node's 0/1 labels,
+    column j of ts the same labels sorted by candidate feature j; row c-1
+    of the result scores the cut that sends the first c sorted rows left."""
+    n = t.size
+    counts = np.bincount(t, minlength=2)
+    parent_imp = 1.0 - float(np.sum((counts / n) ** 2))
+    left_n = np.arange(1, n)[:, None]
+    ones = np.cumsum(ts, axis=0)[:-1]
+    right_n = n - left_n
+    right_ones = counts[1] - ones
+    gini_left = 1.0 - (((left_n - ones) / left_n) ** 2 + (ones / left_n) ** 2)
+    gini_right = 1.0 - (
+        ((right_n - right_ones) / right_n) ** 2 + (right_ones / right_n) ** 2
+    )
+    return parent_imp - (left_n * gini_left + right_n * gini_right) / n
 
 
-def _best_split_classification(X, y, idx, feat_candidates):
-    """Best (feature, threshold, gain) by Gini impurity decrease."""
-    best = None
-    n = idx.size
-    parent_counts = np.bincount(y[idx], minlength=2).astype(float)
-    parent_imp = _gini(parent_counts)
-    for f in feat_candidates:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="mergesort")
-        xs_sorted = xs[order]
-        ys_sorted = y[idx][order]
-        ones = np.cumsum(ys_sorted)
-        for cut in range(1, n):
-            if xs_sorted[cut] == xs_sorted[cut - 1]:
-                continue
-            left_n = cut
-            left_ones = ones[cut - 1]
-            left = np.array([left_n - left_ones, left_ones], dtype=float)
-            right = parent_counts - left
-            imp = (left_n * _gini(left) + (n - left_n) * _gini(right)) / n
-            gain = parent_imp - imp
-            thr = 0.5 * (xs_sorted[cut] + xs_sorted[cut - 1])
-            if best is None or gain > best[2] + 1e-15:
-                best = (f, thr, gain)
-    return best
+def _sse_gains(t, ts):
+    """Squared-error reduction of every cut, laid out as in _impurity_gains."""
+    n = t.size
+    total = t.sum()
+    parent_sse = float(np.sum(t**2) - total**2 / n)
+    left_n = np.arange(1, n)[:, None]
+    csum = np.cumsum(ts, axis=0)
+    csq = np.cumsum(ts**2, axis=0)
+    ls, lq = csum[:-1], csq[:-1]
+    rs, rq = total - ls, csq[-1] - lq
+    # float_power squares with libm pow(), as ** does on a numpy scalar; it
+    # differs from x*x in the last bit for some x, and the golden models
+    # were grown with pow()
+    sse = (lq - np.float_power(ls, 2) / left_n) + (
+        rq - np.float_power(rs, 2) / (n - left_n)
+    )
+    return parent_sse - sse
 
 
-def _best_split_regression(X, r, idx, feat_candidates):
-    """Best (feature, threshold, gain) by squared-error reduction."""
-    best = None
-    n = idx.size
-    rv = r[idx]
-    total = rv.sum()
-    parent_sse = float(np.sum(rv**2) - total**2 / n)
-    for f in feat_candidates:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="mergesort")
-        xs_sorted = xs[order]
-        rs = rv[order]
-        csum = np.cumsum(rs)
-        csq = np.cumsum(rs**2)
-        for cut in range(1, n):
-            if xs_sorted[cut] == xs_sorted[cut - 1]:
-                continue
-            ls, lq = csum[cut - 1], csq[cut - 1]
-            rs_, rq = total - ls, csq[-1] - lq
-            sse = (lq - ls**2 / cut) + (rq - rs_**2 / (n - cut))
-            gain = parent_sse - sse
-            thr = 0.5 * (xs_sorted[cut] + xs_sorted[cut - 1])
-            if best is None or gain > best[2] + 1e-15:
-                best = (f, thr, gain)
-    return best
+def _best_split(X, target, idx, feats, gains):
+    """Best (feature, threshold, gain) over the cuts between distinct sorted
+    values of the candidate features, or None when none of them varies.
+
+    Candidates are scanned in feature order, then cut order, and a later cut
+    wins only by more than 1e-15.  The threshold is the midpoint of the two
+    values around the cut, or the lower one when the midpoint rounds onto
+    (or overflows past) the upper one, so both sides keep their rows.
+    """
+    t = target[idx]
+    xs = X[np.ix_(idx, feats)]
+    order = np.argsort(xs, axis=0, kind="mergesort")
+    xs = np.take_along_axis(xs, order, axis=0)
+    distinct = (xs[1:] != xs[:-1]).T
+    if not distinct.any():
+        return None
+    g = gains(t, t[order]).T[distinct]
+    col, cut = np.nonzero(distinct)
+    best = 0
+    # only a new running maximum can beat the best so far by more than 1e-15
+    for j in np.flatnonzero(g[1:] > np.maximum.accumulate(g)[:-1]) + 1:
+        if g[j] > g[best] + 1e-15:
+            best = j
+    f, c = col[best], cut[best]
+    a, b = xs[c, f].item(), xs[c + 1, f].item()
+    thr = 0.5 * (a + b)
+    return int(feats[f]), (thr if thr < b else a), g[best]
 
 
-def _grow_tree(X, target, idx, depth, max_depth, splitter, leaf_value, rng,
-               n_feat_candidates, importances, n_total, state):
-    node = TreeNode()
-    homogeneous = np.all(target[idx] == target[idx[0]])
-    if depth >= max_depth or idx.size < 2 or homogeneous:
-        node.value = leaf_value(idx)
-        node.leaf_id = state["next_leaf"]
-        state["next_leaf"] += 1
-        return node
-    d = X.shape[1]
-    if n_feat_candidates is None or n_feat_candidates >= d:
-        feats = np.arange(d)
-    else:
-        feats = rng.choice(d, size=n_feat_candidates, replace=False)
-        feats.sort()
-    best = splitter(X, target, idx, feats)
-    if best is None or best[2] <= 0.0:
-        node.value = leaf_value(idx)
-        node.leaf_id = state["next_leaf"]
-        state["next_leaf"] += 1
-        return node
-    f, thr, gain = best
-    importances[f] += gain * idx.size / n_total
-    mask = X[idx, f] <= thr
-    node.feature, node.threshold = int(f), float(thr)
-    node.left = _grow_tree(X, target, idx[mask], depth + 1, max_depth, splitter,
-                           leaf_value, rng, n_feat_candidates, importances,
-                           n_total, state)
-    node.right = _grow_tree(X, target, idx[~mask], depth + 1, max_depth, splitter,
-                            leaf_value, rng, n_feat_candidates, importances,
-                            n_total, state)
-    return node
+def _fit_tree(X, target, max_depth, gains, leaf_value, importances,
+              n_feats=None, rng=None):
+    """Grow a tree on all rows of X, adding each split's weighted gain to
+    importances.  When n_feats is below the feature count, each split draws
+    that many candidate features from rng; leaf_value(idx) sets a leaf from
+    the indices of its rows."""
+    n, d = X.shape
+
+    def grow(idx, depth):
+        t = target[idx]
+        if depth < max_depth and idx.size >= 2 and not np.all(t == t[0]):
+            if n_feats is None or n_feats >= d:
+                feats = np.arange(d)
+            else:
+                feats = np.sort(rng.choice(d, size=n_feats, replace=False))
+            best = _best_split(X, target, idx, feats, gains)
+            if best is not None and best[2] > 0.0:
+                f, thr, gain = best
+                importances[f] += gain * idx.size / n
+                left = X[idx, f] <= thr
+                return TreeNode(f, thr, grow(idx[left], depth + 1),
+                                grow(idx[~left], depth + 1))
+        return TreeNode(value=leaf_value(idx))
+
+    return grow(np.arange(n), 0)
 
 
 def _tree_apply(node, X):
-    """Leaf value and leaf id per row."""
+    """Leaf value per row."""
     n = X.shape[0]
     values = np.empty(n)
-    leaf_ids = np.empty(n, dtype=int)
     stack = [(node, np.arange(n))]
     while stack:
         nd, idx = stack.pop()
@@ -361,12 +356,11 @@ def _tree_apply(node, X):
             continue
         if nd.is_leaf:
             values[idx] = nd.value
-            leaf_ids[idx] = nd.leaf_id
             continue
         mask = X[idx, nd.feature] <= nd.threshold
         stack.append((nd.left, idx[mask]))
         stack.append((nd.right, idx[~mask]))
-    return values, leaf_ids
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +382,7 @@ class TreeEnsembleModel:
         X = np.asarray(X, dtype=float)
         tally = np.zeros(X.shape[0])
         for t in self.trees:
-            tally += _tree_apply(t, X)[0] >= 0.5
+            tally += _tree_apply(t, X) >= 0.5
         return tally.astype(int)
 
     def decision_function(self, X):
@@ -397,7 +391,7 @@ class TreeEnsembleModel:
             return self.votes(X) / len(self.trees) - 0.5
         score = np.full(X.shape[0], self.base_score)
         for t in self.trees:
-            score += self.learning_rate * _tree_apply(t, X)[0]
+            score += self.learning_rate * _tree_apply(t, X)
         return score
 
     def predict(self, X):
@@ -445,22 +439,16 @@ def train_forest(X, y, n_trees=100, max_depth=2, seed=0):
         sample = rng.integers(0, n, size=n)
         in_bag = np.zeros(n, dtype=bool)
         in_bag[sample] = True
-        state = {"next_leaf": 0}
-
-        def leaf_value(idx, sample=sample):
-            labels = y[sample][idx]
-            return float(np.mean(labels) >= 0.5) if idx.size else 0.0
-
-        tree = _grow_tree(
-            X[sample], y[sample], np.arange(n), 0, max_depth,
-            _best_split_classification, leaf_value, rng, n_candidates,
-            importances, n, state,
+        target = y[sample]
+        tree = _fit_tree(
+            X[sample], target, max_depth, _impurity_gains,
+            lambda idx: float(np.mean(target[idx]) >= 0.5), importances,
+            n_candidates, rng,
         )
         trees.append(tree)
         oob = ~in_bag
         if np.any(oob):
-            vals, _ = _tree_apply(tree, X[oob])
-            oob_votes[oob] += vals >= 0.5
+            oob_votes[oob] += _tree_apply(tree, X[oob]) >= 0.5
             oob_counts[oob] += 1
     seen = oob_counts > 0
     oob_accuracy = None
@@ -480,7 +468,8 @@ def train_boosting(X, y, n_stages=100, learning_rate=0.1, tree_depth=3, seed=0):
 
     The score starts at the training log-odds; each stage fits a regression
     tree to the negative gradient (residual y - p) and applies a per-leaf
-    Newton step scaled by the learning rate.
+    Newton step scaled by the learning rate.  Every stage uses all rows and
+    features, so nothing is drawn at random and seed has no effect.
     """
     y = _check_two_classes(y)
     X = _check_finite(X)
@@ -491,25 +480,16 @@ def train_boosting(X, y, n_stages=100, learning_rate=0.1, tree_depth=3, seed=0):
     importances = np.zeros(d)
     trees = []
     deviances = []
-    rng = np.random.default_rng([seed])
     for _ in range(n_stages):
         p = _sigmoid(score)
         residual = y - p
-        state = {"next_leaf": 0}
-        tree = _grow_tree(
-            X, residual, np.arange(n), 0, tree_depth,
-            _best_split_regression, lambda idx: 0.0, rng, None,
-            importances, n, state,
-        )
-        # Newton leaf values: sum(residual) / sum(p*(1-p)) over leaf samples
-        _, leaf_ids = _tree_apply(tree, X)
         hess = np.maximum(p * (1.0 - p), 1e-12)
-        for lid in np.unique(leaf_ids):
-            mask = leaf_ids == lid
-            update = residual[mask].sum() / hess[mask].sum()
-            _set_leaf_value(tree, int(lid), update)
-        vals, _ = _tree_apply(tree, X)
-        score = score + learning_rate * vals
+        # Newton leaf values: sum(residual) / sum(p*(1-p)) over leaf samples
+        tree = _fit_tree(
+            X, residual, tree_depth, _sse_gains,
+            lambda idx: residual[idx].sum() / hess[idx].sum(), importances,
+        )
+        score = score + learning_rate * _tree_apply(tree, X)
         trees.append(tree)
         deviances.append(float(np.sum(np.logaddexp(0.0, score) - y * score)))
     return TreeEnsembleModel(
@@ -520,15 +500,6 @@ def train_boosting(X, y, n_stages=100, learning_rate=0.1, tree_depth=3, seed=0):
         importances=importances / max(1, n_stages),
         train_deviances=deviances,
     )
-
-
-def _set_leaf_value(node, leaf_id, value):
-    if node.is_leaf:
-        if node.leaf_id == leaf_id:
-            node.value = value
-        return
-    _set_leaf_value(node.left, leaf_id, value)
-    _set_leaf_value(node.right, leaf_id, value)
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +566,16 @@ def nested_feature_accuracies(X_train, y_train, X_test, y_test, ranking, trainer
 CLASSIFIER_NAMES = ("svm", "logistic", "forest", "boosting")
 
 
-def make_trainer(classifier, seed=0, **overrides):
+def make_trainer(classifier, seed=0):
     """A (X, y) -> fitted-model callable for the named classifier."""
     if classifier == "svm":
-        return lambda X, y: train_svm(X, y, **overrides)
+        return lambda X, y: train_svm(X, y)
     if classifier in ("logistic", "logreg"):
-        return lambda X, y: train_logistic(X, y, **overrides)
+        return lambda X, y: train_logistic(X, y)
     if classifier == "forest":
-        return lambda X, y: train_forest(X, y, seed=seed, **overrides)
+        return lambda X, y: train_forest(X, y, seed=seed)
     if classifier in ("boosting", "boost"):
-        return lambda X, y: train_boosting(X, y, seed=seed, **overrides)
+        return lambda X, y: train_boosting(X, y, seed=seed)
     raise DomainError(f"unknown classifier {classifier!r}")
 
 

@@ -13,6 +13,7 @@ Gray-code permutation of the filter-bank order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .ingest import TimeSeries
 
-MAX_LEVEL_DEFAULT = 4
+MAX_LEVEL = 4
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,13 @@ def db10_filters():
     return daubechies_filters(10)
 
 
+@cache
+def _db10():
+    # computed on first use, so runs that never decompose skip the
+    # factorization (and the LAPACK work buffers it allocates)
+    return db10_filters()
+
+
 def _gray(b):
     # natural-order node index of the packet at frequency rank b
     return b ^ (b >> 1)
@@ -110,7 +118,6 @@ class PacketTree:
     sample_rate_hz: float
     original_length: int
     padded_length: int
-    filters: WaveletFilters
     # _nodes[(k, b)] holds the coefficients of natural-order node b at level k
     _nodes: dict = field(repr=False)
 
@@ -131,16 +138,15 @@ class PacketTree:
             )
 
 
-def wpt_decompose(ts, level, filters=None, max_level=MAX_LEVEL_DEFAULT):
-    """Full wavelet-packet decomposition of a time series up to `level`."""
-    if not 1 <= level <= max_level:
-        raise DomainError(f"level must lie in 1..{max_level}, got {level}")
+def wpt_decompose(ts, level):
+    """Full db10 wavelet-packet decomposition of a time series up to `level`."""
+    if not 1 <= level <= MAX_LEVEL:
+        raise DomainError(f"level must lie in 1..{MAX_LEVEL}, got {level}")
     x = np.asarray(ts.samples, dtype=float)
     n = x.size
     if n < 2**level:
         raise DomainError(f"series of length {n} too short for level {level}")
-    if filters is None:
-        filters = db10_filters()
+    filters = _db10()
     block = 2**level
     padded = int(np.ceil(n / block)) * block
     if padded > n:
@@ -156,7 +162,6 @@ def wpt_decompose(ts, level, filters=None, max_level=MAX_LEVEL_DEFAULT):
         sample_rate_hz=ts.sample_rate_hz,
         original_length=n,
         padded_length=padded,
-        filters=filters,
         _nodes=nodes,
     )
 
@@ -166,7 +171,7 @@ def reconstruct_packet(tree, level, packet_index):
     tree._check(level, packet_index)
     b = _gray(packet_index - 1)
     coeffs = tree._nodes[(level, b)]
-    filters = tree.filters
+    filters = _db10()
     for k in range(level, 0, -1):
         parent_len = tree.padded_length // 2 ** (k - 1)
         taps = filters.highpass if b & 1 else filters.lowpass

@@ -178,6 +178,20 @@ class TestTrainAndEvaluate:
         assert code == 0
         assert (other / (json.loads(out)["output"].split("/")[-1])).exists()
 
+    # a cut whose midpoint rounds onto the upper value, and one whose
+    # midpoint overflows, used to leave a tree child without rows
+    @pytest.mark.parametrize("a, b", [(1 + 2**-52, 1 + 2**-51), (1.7e308, 1.79e308)])
+    def test_train_forest_on_nearly_equal_values(self, capsys, tmp_path, a, b):
+        features = tmp_path / "features.csv"
+        rows = [f"{a!r},0" for _ in range(5)] + [f"{b!r},1" for _ in range(5)]
+        features.write_text("x,label\n" + "\n".join(rows) + "\n")
+        code, out, _ = run(
+            capsys, "train", "--features", str(features), "--classifier", "forest",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert json.loads(out)["train_accuracy"] == 1.0
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, corpus, capsys, tmp_path):

@@ -17,7 +17,7 @@ from chatterdetect import (
     find_extrema,
     sift_imf,
 )
-from chatterdetect.emd import _mirrored_knots, zero_crossings
+from chatterdetect.emd import _mirrored_knots, _natural_spline, zero_crossings
 
 
 def two_tone(n=512, fs=1000.0):
@@ -134,6 +134,12 @@ class TestEnvelopeMean:
                 assert m is None
             else:
                 assert np.array_equal(m, expected)
+
+    def test_singular_spline_system_raises(self):
+        # repeated knots zero the diagonal; the solver's status must not
+        # be ignored
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _natural_spline(np.zeros(3, dtype=int), np.array([1.0, 2.0, 3.0]), 3)
 
     def test_pure_sine_mean_near_zero(self):
         t = np.arange(2000) / 1000.0

@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatterdetect import (
     DomainError,
@@ -15,6 +20,7 @@ from chatterdetect import (
     train_logistic,
     train_svm,
 )
+from chatterdetect.ml import _best_split, _impurity_gains, _sse_gains
 
 
 def blobs(seed=0, n_per=50, d=4, gap=4.0):
@@ -248,6 +254,159 @@ class TestBoosting:
         assert np.allclose(clone.decision_function(X), model.decision_function(X))
 
 
+# The per-cut split loops the vectorized search replaced, kept as its oracle.
+# The one deliberate change is the threshold (see _reference_threshold).
+
+def _reference_threshold(a, b):
+    mid = 0.5 * (float(a) + float(b))
+    return mid if mid < b else float(a)
+
+
+def _reference_gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return 1.0 - float(np.sum(p**2))
+
+
+def _reference_split_classification(X, y, idx, feat_candidates):
+    best = None
+    n = idx.size
+    parent_counts = np.bincount(y[idx], minlength=2).astype(float)
+    parent_imp = _reference_gini(parent_counts)
+    for f in feat_candidates:
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="mergesort")
+        xs_sorted = xs[order]
+        ys_sorted = y[idx][order]
+        ones = np.cumsum(ys_sorted)
+        for cut in range(1, n):
+            if xs_sorted[cut] == xs_sorted[cut - 1]:
+                continue
+            left_n = cut
+            left_ones = ones[cut - 1]
+            left = np.array([left_n - left_ones, left_ones], dtype=float)
+            right = parent_counts - left
+            imp = (left_n * _reference_gini(left)
+                   + (n - left_n) * _reference_gini(right)) / n
+            gain = parent_imp - imp
+            thr = _reference_threshold(xs_sorted[cut - 1], xs_sorted[cut])
+            if best is None or gain > best[2] + 1e-15:
+                best = (f, thr, gain)
+    return best
+
+
+def _reference_split_regression(X, r, idx, feat_candidates):
+    best = None
+    n = idx.size
+    rv = r[idx]
+    total = rv.sum()
+    parent_sse = float(np.sum(rv**2) - total**2 / n)
+    for f in feat_candidates:
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="mergesort")
+        xs_sorted = xs[order]
+        rs = rv[order]
+        csum = np.cumsum(rs)
+        csq = np.cumsum(rs**2)
+        for cut in range(1, n):
+            if xs_sorted[cut] == xs_sorted[cut - 1]:
+                continue
+            ls, lq = csum[cut - 1], csq[cut - 1]
+            rs_, rq = total - ls, csq[-1] - lq
+            sse = (lq - ls**2 / cut) + (rq - rs_**2 / (n - cut))
+            gain = parent_sse - sse
+            thr = _reference_threshold(xs_sorted[cut - 1], xs_sorted[cut])
+            if best is None or gain > best[2] + 1e-15:
+                best = (f, thr, gain)
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """A feature matrix, 0/1 labels, residual-like targets, and a node's
+    sorted row and candidate-feature subsets."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["continuous", "rounded", "levels", "near-tie"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, d))
+    if kind == "rounded":
+        X = np.round(X, 1)
+    elif kind in ("levels", "near-tie"):
+        X = rng.integers(0, 3, size=(n, d)).astype(float)
+    if kind == "near-tie" and d > 1:
+        # the same level cuts on a column ordered differently within each
+        # level: equal partitions whose gains differ only by rounding
+        X[:, 1] = X[:, 0] + 1e-3 * rng.random(n)
+    labels = rng.integers(0, 2, size=n)
+    residuals = labels - 1.0 / (1.0 + np.exp(-np.round(rng.standard_normal(n), 1)))
+    idx = np.flatnonzero(rng.random(n) < 0.8)
+    if idx.size < 2:
+        idx = np.arange(n)
+    feats = np.flatnonzero(rng.random(d) < 0.7)
+    if feats.size == 0:
+        feats = np.arange(d)
+    return X, labels, residuals, idx, feats
+
+
+def _same_split(got, want):
+    if want is None:
+        return got is None
+    return got == (int(want[0]), want[1], want[2])
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_gini_matches_reference_loop(self, problem):
+        X, labels, _, idx, feats = problem
+        got = _best_split(X, labels, idx, feats, _impurity_gains)
+        assert _same_split(got, _reference_split_classification(X, labels, idx, feats))
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_squared_error_matches_reference_loop(self, problem):
+        X, _, residuals, idx, feats = problem
+        got = _best_split(X, residuals, idx, feats, _sse_gains)
+        assert _same_split(got, _reference_split_regression(X, residuals, idx, feats))
+
+    # adjacent doubles whose midpoint rounds onto the upper one, and large
+    # values whose sum overflows
+    @pytest.mark.parametrize("a, b", [(1 + 2**-52, 1 + 2**-51), (1.7e308, 1.79e308)])
+    @pytest.mark.parametrize("trainer", [train_forest, train_boosting])
+    def test_threshold_keeps_both_sides(self, trainer, a, b):
+        X = np.array([[a]] * 5 + [[b]] * 5)
+        y = np.array([0] * 5 + [1] * 5)
+        model = trainer(X, y)
+        assert np.array_equal(model.predict(X), y)
+
+
+def golden_data():
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((90, 5))
+    X[:, 3] = np.round(X[:, 3], 1)
+    X[:, 4] = rng.integers(0, 3, size=90)
+    y = (X[:, 0] + 0.5 * X[:, 4] + rng.standard_normal(90) > 0.5).astype(int)
+    return X, y
+
+
+# SHA-256 of the model JSON as the per-cut loops built it; a faster split
+# search must reproduce every tree bit for bit
+@pytest.mark.parametrize("trainer, digest", [
+    pytest.param(lambda X, y: train_forest(X, y, seed=5),
+                 "024ab536d76453357a633fd108caf867de7c02802ae1cbec702b79e77f53980f",
+                 id="forest"),
+    pytest.param(train_boosting,
+                 "87f145f062a4c2b6a890aba65ee9c9065c3600f14c884409a9db6853cf1300ef",
+                 id="boosting"),
+])
+def test_tree_models_golden_digest(trainer, digest):
+    model = trainer(*golden_data())
+    assert hashlib.sha256(json.dumps(model.to_dict()).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("trainer", [train_svm, train_logistic, train_forest,
                                      train_boosting])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -313,11 +472,6 @@ class TestMakeTrainer:
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
             make_trainer("perceptron")
-
-    def test_overrides_forwarded(self):
-        X, y = blobs(n_per=10)
-        model = make_trainer("forest", seed=0, n_trees=7)(X, y)
-        assert len(model.trees) == 7
 
     def test_bad_format_rejected(self):
         with pytest.raises(DomainError):
