@@ -22,7 +22,7 @@ import numpy as np
 
 from . import harness
 from .emd import EemdParams, eemd
-from .errors import ChatterDetectError, ValidationError
+from .errors import ChatterDetectError, DomainError, ValidationError
 from .ingest import (
     design_lowpass,
     filter_and_downsample,
@@ -143,11 +143,17 @@ def _eemd_params(args):
 def _cmd_preprocess(args):
     ts = load_timeseries(args.input, args.sample_rate)
     filt = design_lowpass(args.filter_order, args.cutoff, args.sample_rate)
-    out = filter_and_downsample(ts, filt, args.target_rate)
+    try:
+        out = filter_and_downsample(ts, filt, args.target_rate)
+    except DomainError as exc:
+        raise DomainError(f"{args.input}: {exc}") from None
     path = Path(args.out)
     if path.is_dir():
         path = path / (Path(args.input).stem + "_preprocessed.csv")
-    np.savetxt(path, out.samples, delimiter=",")
+    # one %-format over all rows; the same bytes as np.savetxt, which
+    # formats row by row
+    values = out.samples.tolist()
+    path.write_text(("%.18e\n" * len(values)) % tuple(values), encoding="utf-8")
     print(json.dumps({"output": str(path), "n_samples": int(out.samples.size),
                       "sample_rate_hz": out.sample_rate_hz}))
 

@@ -4,6 +4,7 @@ segment cutting and fixed-length windowing."""
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
@@ -161,49 +162,98 @@ def _parse_float(token, line_number, what):
     return value
 
 
-def load_timeseries(path, sample_rate_hz):
-    """Read a one- or two-column CSV (time_s, acceleration) into a TimeSeries.
+def _read_lines(path):
+    """The file's lines as text-mode reading splits them (universal newlines).
 
-    Two-column files are checked for uniform sampling at the stated rate
-    (1e-6 relative tolerance on successive deltas).
+    A byte sequence that is not UTF-8 is a ParseError naming the file and line.
     """
-    if sample_rate_hz <= 0:
-        raise DomainError("sample_rate_hz must be positive")
-    times = []
-    values = []
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})",
+            head.count(b"\n") + 1,
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _tokens(line):
+    """The non-empty comma-separated tokens of a line, stripped."""
+    return [t.strip() for t in line.split(",") if t.strip() != ""]
+
+
+def _is_header(tokens):
+    """A first line is a header when its first non-empty token is not a number."""
+    if not tokens:
+        return False
+    try:
+        float(tokens[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _read_rows(path):
+    """Numeric rows from numpy's C reader, or None when it refuses the file or
+    the rows are not 1 or 2 finite columns; the line scan then decides."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = _is_header(_tokens(fh.readline()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                              encoding="utf-8", skiprows=int(header))
+    except ValueError:  # a token it cannot parse, a ragged row or bad UTF-8
+        return None
+    if rows.shape[0] == 0 or rows.shape[1] not in (1, 2) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _scan_timeseries(path, sample_rate_hz):
+    """load_timeseries, line by line in Python.
+
+    Raises the ParseError or ValidationError that names the offending line,
+    and accepts what numpy's reader refuses: underscore digits (`1_000`),
+    whitespace-only lines and stray commas.
+    """
+    rows = []
     n_cols = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",") if t.strip() != ""]
-            if line_number == 1 and tokens:
-                try:
-                    float(tokens[0])
-                except ValueError:
-                    continue  # header row
-            if len(tokens) not in (1, 2):
-                raise ParseError(
-                    f"expected 1 or 2 columns, got {len(tokens)}", line_number
-                )
-            if n_cols is None:
-                n_cols = len(tokens)
-            elif len(tokens) != n_cols:
-                raise ParseError(
-                    f"inconsistent column count ({len(tokens)} vs {n_cols})",
-                    line_number,
-                )
-            if n_cols == 2:
-                times.append(_parse_float(tokens[0], line_number, "time"))
-                values.append(_parse_float(tokens[1], line_number, "acceleration"))
-            else:
-                values.append(_parse_float(tokens[0], line_number, "acceleration"))
-    if not values:
+    for line_number, raw in enumerate(_read_lines(path), start=1):
+        if not raw.strip():
+            continue
+        tokens = _tokens(raw)
+        if line_number == 1 and _is_header(tokens):
+            continue
+        if len(tokens) not in (1, 2):
+            raise ParseError(
+                f"expected 1 or 2 columns, got {len(tokens)}", line_number
+            )
+        if n_cols is None:
+            n_cols = len(tokens)
+        elif len(tokens) != n_cols:
+            raise ParseError(
+                f"inconsistent column count ({len(tokens)} vs {n_cols})",
+                line_number,
+            )
+        if n_cols == 2:
+            rows.append((_parse_float(tokens[0], line_number, "time"),
+                         _parse_float(tokens[1], line_number, "acceleration")))
+        else:
+            rows.append((_parse_float(tokens[0], line_number, "acceleration"),))
+    if not rows:
         raise ValidationError(f"{path}: empty time-series file")
+    return _series(np.array(rows), path, sample_rate_hz)
+
+
+def _series(rows, path, sample_rate_hz):
+    """TimeSeries from (n, 1) or (n, 2) rows, checking the time column if any."""
     start = 0.0
-    if n_cols == 2:
-        t = np.asarray(times)
+    if rows.shape[1] == 2:
+        t = rows[:, 0]
         deltas = np.diff(t)
         if np.any(deltas <= 0):
             raise ValidationError(f"{path}: time column is not strictly increasing")
@@ -215,28 +265,47 @@ def load_timeseries(path, sample_rate_hz):
                 f"does not match 1/{sample_rate_hz:g}Hz"
             )
         start = float(t[0])
-    return TimeSeries(np.asarray(values), sample_rate_hz, start)
+    return TimeSeries(np.ascontiguousarray(rows[:, -1]), sample_rate_hz, start)
+
+
+def load_timeseries(path, sample_rate_hz):
+    """Read a one- or two-column CSV (time_s, acceleration) into a TimeSeries.
+
+    Files are UTF-8; line 1 is a header when its first non-empty token is not
+    a number.  Two-column files are checked for uniform sampling at the
+    stated rate (1e-6 relative tolerance on successive deltas).  Well-formed
+    files are parsed by numpy's C reader; any file it refuses goes through
+    the line scan, which names the offending line.
+    """
+    if sample_rate_hz <= 0:
+        raise DomainError("sample_rate_hz must be positive")
+    rows = _read_rows(path)
+    if rows is None:
+        return _scan_timeseries(path, sample_rate_hz)
+    return _series(rows, path, sample_rate_hz)
 
 
 def load_labels(path):
     """Read a label CSV of `start_s,end_s,label` rows."""
     intervals = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if line_number == 1:
-                try:
-                    float(tokens[0])
-                except ValueError:
-                    continue  # header row
-            if len(tokens) != 3:
-                raise ParseError(f"expected 3 columns, got {len(tokens)}", line_number)
-            start = _parse_float(tokens[0], line_number, "start_s")
-            end = _parse_float(tokens[1], line_number, "end_s")
+    for line_number, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = [t.strip() for t in line.split(",")]
+        if line_number == 1:
+            try:
+                float(tokens[0])
+            except ValueError:
+                continue  # header row
+        if len(tokens) != 3:
+            raise ParseError(f"expected 3 columns, got {len(tokens)}", line_number)
+        start = _parse_float(tokens[0], line_number, "start_s")
+        end = _parse_float(tokens[1], line_number, "end_s")
+        try:
             intervals.append(LabelInterval(start, end, Label.parse(tokens[2])))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {line_number}: {exc}") from None
     return intervals
 
 
@@ -351,6 +420,11 @@ def filter_and_downsample(ts, filt, target_rate_hz):
     if factor < 1 or abs(ratio - factor) > 1e-9 * max(1.0, ratio):
         raise DomainError(
             f"sample rate ratio {ratio:g} is not a positive integer"
+        )
+    if ts.samples.size < factor:
+        raise DomainError(
+            f"{ts.samples.size} samples are fewer than the decimation factor "
+            f"{factor}, so none would remain"
         )
     filtered = filt.apply(ts.samples)
     n_keep = (filtered.size // factor) * factor

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chatterdetect import design_lowpass, filter_and_downsample, load_timeseries
 from chatterdetect.cli import main
 from synthetic_corpus import FS, make_segments, write_corpus_files
 
@@ -67,6 +69,36 @@ class TestPreprocess:
         )
         assert code == 1
         assert "error" in json.loads(err)
+
+    def test_output_bytes_match_savetxt(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        t = np.arange(3200) / 160000
+        x = np.random.default_rng(7).standard_normal(t.size)
+        np.savetxt(src, np.column_stack([t, x]), delimiter=",", fmt="%.8f,%.6f")
+        code, out, _ = run(
+            capsys, "preprocess", "--input", str(src), "--sample-rate", "160000",
+            "--target-rate", "10000", "--cutoff", "4500", "--out", str(tmp_path),
+        )
+        assert code == 0
+        ts = load_timeseries(src, 160000)
+        expected = filter_and_downsample(ts, design_lowpass(100, 4500, 160000), 10000)
+        np.savetxt(tmp_path / "expected.csv", expected.samples, delimiter=",")
+        written = Path(json.loads(out)["output"]).read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes()
+
+    def test_too_short_recording_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "short.csv"
+        src.write_text("0.5\n0.25\n")
+        code, _, err = run(
+            capsys, "preprocess", "--input", str(src),
+            "--sample-rate", "160000", "--target-rate", "10000",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "DomainError"
+        for fragment in (str(src), "2 samples", "factor 16"):
+            assert fragment in record["message"]
 
 
 class TestDecompose:
@@ -311,3 +343,30 @@ class TestErrorContract:
         record = error_record(err)
         assert record["error"] == "ValidationError"
         assert "one train and one test" in record["message"]
+
+    def test_non_utf8_signal_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"1.0\n\xff\xfe\n")
+        code, _, err = run(
+            capsys, "preprocess", "--input", str(src), "--sample-rate", "160000",
+            "--target-rate", "10000", "--cutoff", "4500", "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ParseError"
+        assert "line 2" in record["message"] and str(src) in record["message"]
+        assert "UTF-8" in record["message"]
+
+    def test_non_utf8_labels_exit_1(self, tmp_path, capsys):
+        [segment] = make_segments(seed=0, n_stable=1, n_chatter=0)
+        manifest = write_corpus_files(tmp_path, [segment])
+        labels = tmp_path / "labels_00.csv"
+        labels.write_bytes(b"start_s,end_s,label\n0.0,0.1,stable\xe9\n")
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ParseError"
+        assert "line 2" in record["message"] and str(labels) in record["message"]

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chatterdetect import (
@@ -17,6 +19,7 @@ from chatterdetect import (
     load_timeseries,
     window_segments,
 )
+from chatterdetect.ingest import _scan_timeseries
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -74,6 +77,122 @@ class TestLoadTimeseries:
         assert load_timeseries(path, 10000).samples.tolist() == values
 
 
+FS = 10000.0
+QUIRKY = st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "abc", "", "1_000", "-2_5.0_1", "0x10", "1,5"]
+)
+PAD = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text close to a time series: 1-3 columns (with 2 or more, the first
+    is uniformly spaced at FS), padded tokens, stray commas, quirky tokens,
+    blank or whitespace-only lines, an optional header, LF or CRLF."""
+    n_cols = draw(st.integers(1, 3))
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        cells = [repr(i / FS)] if n_cols > 1 else []
+        while len(cells) < n_cols:
+            cells.append(repr(draw(st.floats(allow_nan=False, allow_infinity=False))))
+        quirk = draw(st.integers(0, 19))  # most rows stay well-formed
+        if quirk == 0:
+            cells[draw(st.integers(0, n_cols - 1))] = draw(QUIRKY)
+        line = ",".join(draw(PAD) + c + draw(PAD) for c in cells)
+        lines.append("," * (quirk == 1) + line + ", " * (quirk == 2))
+        if quirk == 3:
+            lines.append(draw(st.sampled_from(["", " ", "\t ", " , "])))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["time_s,acc", "acc", ",x", " t , a ", "1_0,a"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def outcome(loader, path):
+    """A loader's samples and start time as bits, or its error type and message;
+    a warning counts as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ts = loader(path, FS)
+        except Exception as exc:  # compared with the other loader's outcome
+            return type(exc), str(exc)
+    return ts.samples.tobytes(), ts.samples.dtype, np.float64(ts.start_time_s).tobytes()
+
+
+class TestFastReadMatchesScan:
+    """load_timeseries parses with numpy's reader and falls back to the line
+    scan; both must give the same bits or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    @example(",1.0\n2.0\n")
+    @example("time_s,acc\n")
+    @example("1.0\n \n2.0\n")
+    @example("0.0,1.0\r\n0.0001,1_0\r\n")
+    def test_same_result(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("diff") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_timeseries, path) == outcome(_scan_timeseries, path)
+
+    def test_leading_comma_is_not_a_header(self, tmp_path):
+        ts = load_timeseries(write(tmp_path, ",1.0\n2.0\n"), FS)
+        assert ts.samples.tolist() == [1.0, 2.0]
+
+    def test_header_only_is_empty_without_warning(self, tmp_path):
+        path = write(tmp_path, "time_s,acc\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="empty time-series file"):
+                load_timeseries(path, FS)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1_000\n2\n", [1000.0, 2.0]),
+        ("1.0\n   \n2.0\n", [1.0, 2.0]),
+        ("1.0,\n,2.0\n", [1.0, 2.0]),
+    ])
+    def test_quirks_the_scan_accepts(self, tmp_path, text, expected):
+        assert load_timeseries(write(tmp_path, text), FS).samples.tolist() == expected
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"1.0\n\xff\xfe\n", 2),
+    (b"1.0\r\n2.0\r\n3.0\xe9\r\n", 3),
+    (b"1.0\r2.0\r\xc3\n", 3),
+    (b"\xff", 1),
+])
+@pytest.mark.parametrize("loader", [lambda p: load_timeseries(p, FS), load_labels])
+def test_non_utf8_is_parse_error(tmp_path, data, line, loader):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"line {line}: .*not valid UTF-8") as info:
+        loader(path)
+    assert str(path) in str(info.value)
+    assert info.value.line_number == line
+
+
+LABEL_ALIASES = {
+    "stable": Label.STABLE,
+    "no chatter": Label.STABLE,
+    "mild": Label.MILD,
+    "intermediate": Label.MILD,
+    "mild chatter": Label.MILD,
+    "chatter": Label.CHATTER,
+    "unknown": Label.UNKNOWN,
+}
+
+
+@st.composite
+def label_rows(draw):
+    """(start, end, label text, expected Label) with the label in mixed case."""
+    start = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    end = start + draw(st.floats(1e-3, 1e3))
+    alias = draw(st.sampled_from(sorted(LABEL_ALIASES)))
+    upper = draw(st.lists(st.booleans(), min_size=len(alias), max_size=len(alias)))
+    text = "".join(c.upper() if u else c for c, u in zip(alias, upper))
+    return start, end, draw(PAD) + text + draw(PAD), LABEL_ALIASES[alias]
+
+
 class TestLoadLabels:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "start_s,end_s,label\n0,1,stable\n1,2,CHATTER\n2,3,Mild\n")
@@ -87,6 +206,33 @@ class TestLoadLabels:
     def test_non_finite_bound_rejected_with_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 2.*end_s"):
             load_labels(write(tmp_path, "0,1,stable\n1,nan,chatter\n"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(label_rows(), max_size=8), st.booleans())
+    def test_round_trip(self, tmp_path_factory, rows, header):
+        lines = ["start_s,end_s,label"] if header else []
+        lines += [f"{s!r},{e!r},{text}" for s, e, text, _ in rows]
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        got = [(iv.start_s, iv.end_s, iv.label) for iv in load_labels(path)]
+        assert got == [(s, e, label) for s, e, _, label in rows]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(label_rows(), min_size=1, max_size=6), st.data())
+    def test_bad_row_names_its_line(self, tmp_path_factory, rows, data):
+        lines = ["start_s,end_s,label"] + [f"{s!r},{e!r},{t}" for s, e, t, _ in rows]
+        at = data.draw(st.integers(1, len(lines)))
+        s, e, text, _ = rows[0]
+        bad, error, message = data.draw(st.sampled_from([
+            (f"{s!r},{e!r}", ParseError, "expected 3 columns, got 2"),
+            (f"{s!r},{e!r},{text},extra", ParseError, "expected 3 columns, got 4"),
+            (f"{s!r},{e!r},weird", ValidationError, "unknown label 'weird'"),
+        ]))
+        lines.insert(at, bad)
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error, match=f"line {at + 1}: {message}"):
+            load_labels(path)
 
 
 class TestDesignLowpass:
@@ -140,6 +286,11 @@ class TestFilterAndDownsample:
         ts = TimeSeries(np.arange(10.0), 1000)
         out = filter_and_downsample(ts, design_lowpass(0, 100, 1000), 1000)
         assert np.array_equal(out.samples, ts.samples)
+
+    def test_fewer_samples_than_factor_rejected(self):
+        ts = TimeSeries(np.array([0.5, 0.25]), 160000)
+        with pytest.raises(DomainError, match="2 samples .* factor 16"):
+            filter_and_downsample(ts, design_lowpass(100, 4500, 160000), 10000)
 
     def test_non_integer_factor_rejected(self):
         ts = TimeSeries(np.arange(10.0), 1000)
