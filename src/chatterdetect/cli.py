@@ -52,7 +52,11 @@ def build_parser():
     manifest = argparse.ArgumentParser(add_help=False)
     manifest.add_argument("--manifest", required=True)
     manifest.add_argument("--window-len", type=int, default=1000)
-    manifest.add_argument("--workers", type=int, default=1)
+    manifest.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; has no effect (EEMD results are "
+             "bitwise identical for any batch composition)",
+    )
 
     evaluation = argparse.ArgumentParser(add_help=False)
     evaluation.add_argument("--classifier", choices=CLASSIFIERS, required=True)

@@ -6,13 +6,17 @@ class ChatterDetectError(Exception):
 
 
 class ParseError(ChatterDetectError, ValueError):
-    """A file could not be parsed; carries the offending line number."""
+    """A file could not be parsed; carries the file and the offending line
+    number, and names both in its message (`path: line n: ...`)."""
 
-    def __init__(self, message, line_number=None):
+    def __init__(self, message, line_number=None, path=None):
         if line_number is not None:
             message = f"line {line_number}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line_number = line_number
+        self.path = path
 
 
 class ValidationError(ChatterDetectError, ValueError):

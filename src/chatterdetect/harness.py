@@ -174,7 +174,8 @@ def prepare_wpt_config(config, segments, level):
 
 def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None,
                         n_workers=1):
-    """Window every segment, decompose each window, featurize every IMF."""
+    """Window every segment, decompose all windows in one eemd call, featurize
+    every IMF.  n_workers is accepted for compatibility and has no effect."""
     if eemd_params is None:
         eemd_params = EemdParams()
     windows = window_segments(segments, window_len)
@@ -182,12 +183,12 @@ def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None,
         raise ValidationError("no windows to prepare; segments shorter than window_len")
     fs = windows[0].series.sample_rate_hz
     band = FrequencyBand(*config.chatter_band_hz)
+    decomposed = eemd(np.stack([win.series.samples for win in windows]), eemd_params)
     counters = {}
     prepared = []
-    for win in windows:
+    for win, imfs in zip(windows, decomposed):
         w_idx = counters.get(win.source, 0)
         counters[win.source] = w_idx + 1
-        imfs = eemd(win.series.samples, eemd_params, n_workers=n_workers)
         if imfs.n_imfs == 0:
             continue  # degenerate window with no oscillation
         feats = np.vstack([eemd_features(imfs, i + 1) for i in range(imfs.n_imfs)])

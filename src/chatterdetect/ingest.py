@@ -152,13 +152,13 @@ class FilterCascade:
         return h
 
 
-def _parse_float(token, line_number, what):
+def _parse_float(token, path, line_number, what):
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(f"bad {what} value {token!r}", line_number) from None
+        raise ParseError(f"bad {what} value {token!r}", line_number, path) from None
     if not isfinite(value):
-        raise ParseError(f"non-finite {what} value {token!r}", line_number)
+        raise ParseError(f"non-finite {what} value {token!r}", line_number, path)
     return value
 
 
@@ -174,8 +174,9 @@ def _read_lines(path):
     except UnicodeDecodeError as exc:
         head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise ParseError(
-            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})",
+            f"not valid UTF-8 ({exc.reason} at byte {exc.start})",
             head.count(b"\n") + 1,
+            path,
         ) from None
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
@@ -230,7 +231,7 @@ def _scan_timeseries(path, sample_rate_hz):
             continue
         if len(tokens) not in (1, 2):
             raise ParseError(
-                f"expected 1 or 2 columns, got {len(tokens)}", line_number
+                f"expected 1 or 2 columns, got {len(tokens)}", line_number, path
             )
         if n_cols is None:
             n_cols = len(tokens)
@@ -238,12 +239,13 @@ def _scan_timeseries(path, sample_rate_hz):
             raise ParseError(
                 f"inconsistent column count ({len(tokens)} vs {n_cols})",
                 line_number,
+                path,
             )
         if n_cols == 2:
-            rows.append((_parse_float(tokens[0], line_number, "time"),
-                         _parse_float(tokens[1], line_number, "acceleration")))
+            rows.append((_parse_float(tokens[0], path, line_number, "time"),
+                         _parse_float(tokens[1], path, line_number, "acceleration")))
         else:
-            rows.append((_parse_float(tokens[0], line_number, "acceleration"),))
+            rows.append((_parse_float(tokens[0], path, line_number, "acceleration"),))
     if not rows:
         raise ValidationError(f"{path}: empty time-series file")
     return _series(np.array(rows), path, sample_rate_hz)
@@ -299,9 +301,9 @@ def load_labels(path):
             except ValueError:
                 continue  # header row
         if len(tokens) != 3:
-            raise ParseError(f"expected 3 columns, got {len(tokens)}", line_number)
-        start = _parse_float(tokens[0], line_number, "start_s")
-        end = _parse_float(tokens[1], line_number, "end_s")
+            raise ParseError(f"expected 3 columns, got {len(tokens)}", line_number, path)
+        start = _parse_float(tokens[0], path, line_number, "start_s")
+        end = _parse_float(tokens[1], path, line_number, "end_s")
         try:
             intervals.append(LabelInterval(start, end, Label.parse(tokens[2])))
         except ValidationError as exc:
@@ -343,7 +345,7 @@ def load_manifest(path):
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc.msg}", exc.lineno) from None
+            raise ParseError(f"not valid JSON: {exc.msg}", exc.lineno, path) from None
     if isinstance(doc, list):
         raw_records, raw_configs = doc, {}
     elif isinstance(doc, dict):

@@ -60,6 +60,18 @@ class TestPreprocess:
         assert record["error"] == "ParseError"
         assert "line 3" in record["message"]
 
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "two_lines.csv"
+        src.write_text("0.5\nnan\n")
+        code, _, err = run(
+            capsys, "preprocess", "--input", str(src),
+            "--sample-rate", "160000", "--target-rate", "10000", "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ParseError"
+        assert record["message"].startswith(f"{src}: line 2: non-finite")
+
     def test_bad_rate_exit_1(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"
         np.savetxt(src, np.arange(100.0), delimiter=",")

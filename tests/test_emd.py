@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from chatterdetect import (
     find_extrema,
     sift_imf,
 )
-from chatterdetect.emd import _mirrored_knots, _natural_spline, zero_crossings
+from chatterdetect.emd import _natural_spline, zero_crossings
+
+# the submodule; the package attribute chatterdetect.emd is the function
+emd_module = importlib.import_module("chatterdetect.emd")
 
 
 def two_tone(n=512, fs=1000.0):
@@ -41,6 +45,20 @@ def reference_extrema(x):
     return np.asarray(maxima, dtype=int), np.asarray(minima, dtype=int)
 
 
+def reference_mirrored_knots(idx, val, n, n_mirror=2):
+    """Extrema extended beyond both ends by reflecting the outermost ones:
+    the original per-signal code, kept as part of the envelope oracle."""
+    k = min(n_mirror, idx.size)
+    left_t = (-idx[:k])[::-1]
+    left_v = val[:k][::-1]
+    right_t = (2 * (n - 1) - idx[-k:])[::-1]
+    right_v = val[-k:][::-1]
+    t = np.concatenate([left_t, idx, right_t])
+    v = np.concatenate([left_v, val, right_v])
+    keep = np.concatenate([[True], np.diff(t) > 0])
+    return t[keep], v[keep]
+
+
 def reference_envelope_mean(x):
     """scipy's natural cubic splines through the mirrored extrema: the
     oracle for envelope_mean."""
@@ -48,8 +66,8 @@ def reference_envelope_mean(x):
     if maxima.size < 2 or minima.size < 2:
         return None
     grid = np.arange(x.size)
-    tu, vu = _mirrored_knots(maxima, x[maxima], x.size)
-    tl, vl = _mirrored_knots(minima, x[minima], x.size)
+    tu, vu = reference_mirrored_knots(maxima, x[maxima], x.size)
+    tl, vl = reference_mirrored_knots(minima, x[minima], x.size)
     upper = CubicSpline(tu, vu, bc_type="natural")(grid)
     lower = CubicSpline(tl, vl, bc_type="natural")(grid)
     return (upper + lower) / 2.0
@@ -64,6 +82,160 @@ signals = st.one_of(
     ),
     st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=300),
 ).map(lambda values: np.asarray(values, dtype=float))
+
+
+@st.composite
+def batches(draw):
+    """2-D batches for the row-wise helpers.  Values on a coarse grid make
+    flat runs, some touching a row's ends or running on across the next
+    row's start in the flattened array; constant rows and rows of fewer
+    than 3 samples are included."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    values = st.integers(-2, 2) if draw(st.booleans()) else st.floats(-1e3, 1e3)
+    x = np.asarray(draw(st.lists(values, min_size=k * n, max_size=k * n)),
+                   dtype=float).reshape(k, n)
+    for row in draw(st.sets(st.integers(0, k - 1))):
+        x[row] = draw(st.integers(-2, 2))
+    return x
+
+
+class TestRowWise:
+    @settings(max_examples=300, deadline=None)
+    @given(batches())
+    def test_find_extrema_rows_match_one_row(self, x):
+        (rmax, cmax), (rmin, cmin) = find_extrema(x)
+        for row in range(x.shape[0]):
+            maxima, minima = find_extrema(x[row])
+            assert np.array_equal(cmax[rmax == row], maxima)
+            assert np.array_equal(cmin[rmin == row], minima)
+            ref_max, ref_min = reference_extrema(x[row])
+            assert np.array_equal(maxima, ref_max) and np.array_equal(minima, ref_min)
+        # row-major order, as np.nonzero gives
+        for rows, cols in ((rmax, cmax), (rmin, cmin)):
+            assert np.all(np.diff(rows * (x.shape[1] + 1) + cols) > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches())
+    def test_zero_crossings_rows_match_one_row(self, x):
+        counts = zero_crossings(x)
+        assert counts.shape == (x.shape[0],)
+        for row in range(x.shape[0]):
+            s = np.sign(x[row])
+            s = s[s != 0]
+            assert counts[row] == zero_crossings(x[row]) == np.count_nonzero(s[:-1] != s[1:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches())
+    def test_envelope_mean_rows_match_one_row(self, x):
+        means = envelope_mean(x)
+        for row in range(x.shape[0]):
+            expected = envelope_mean(x[row])
+            if expected is None:
+                assert np.all(np.isnan(means[row]))
+            else:
+                assert np.array_equal(means[row], expected)
+
+
+def mixed_batch(n=512):
+    """Rows that stop sifting in different ways: a monotone row, a row with
+    one IMF and then a monotone residue, rows whose first IMF needs more
+    than 3 sweeps, and noise with many IMFs."""
+    t = np.arange(n) / n
+    rng = np.random.default_rng(5)
+    return np.stack([
+        np.linspace(0.0, 1.0, n),
+        np.sin(2 * np.pi * 12 * t) + 3 * t,
+        np.sin(2 * np.pi * 5 * t) + 0.3 * np.sin(2 * np.pi * 150 * t) * ((t * 10 % 3) < 0.6),
+        rng.standard_normal(n).cumsum(),
+        rng.standard_normal(n),
+        np.sin(2 * np.pi * 5 * t) + 0.4 * np.sin(2 * np.pi * 60 * t),
+    ])
+
+
+def reference_emd(x, max_imfs, stop):
+    """The original one-signal sifting loop over the reference extrema and
+    scipy's splines: the oracle for the lockstep batch."""
+    residue, imfs = x.copy(), []
+    while len(imfs) < max_imfs:
+        h = residue.copy()
+        m = reference_envelope_mean(h)
+        if m is None:
+            break
+        for _ in range(stop.max_sweeps):
+            denom = float(np.sum(h**2))
+            sd = float(np.sum(m**2)) / denom if denom > 0 else 0.0
+            h = h - m
+            if sd < stop.sd_threshold:
+                maxima, minima = reference_extrema(h)
+                s = np.sign(h)
+                s = s[s != 0]
+                if abs(maxima.size + minima.size - np.count_nonzero(s[:-1] != s[1:])) <= 1:
+                    break
+            m = reference_envelope_mean(h)
+            if m is None:
+                break
+        imfs.append(h)
+        residue = residue - h
+    return emd_module.ImfSet(imfs, residue)
+
+
+def assert_same(a, b):
+    assert a.n_imfs == b.n_imfs
+    for ca, cb in zip(a.imfs + [a.residue], b.imfs + [b.residue]):
+        assert np.array_equal(ca, cb)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("max_imfs, stop", [(3, SiftStop(0.2, 3)), (10, SiftStop())])
+    def test_batch_emd_equals_one_row_emd(self, max_imfs, stop):
+        x = mixed_batch()
+        batch = emd(x, max_imfs, stop)
+        assert len(batch) == x.shape[0]
+        for row, result in zip(x, batch):
+            assert_same(result, emd(row, max_imfs, stop))
+            assert_same(result, reference_emd(row, max_imfs, stop))
+        counts = [r.n_imfs for r in batch]
+        assert counts[0] == 0 and counts[1] == 1
+        if max_imfs == 3:
+            assert counts[3] == counts[4] == 3
+
+    def test_rows_stop_on_their_own_tests(self):
+        x = mixed_batch()
+        capped, capped_mono = sift_imf(x, SiftStop(0.2, 3))
+        free, _ = sift_imf(x, SiftStop(0.2, 100))
+        assert list(capped_mono) == [True] + [False] * 5
+        assert np.all(np.isnan(capped[0]))
+        for row in range(1, x.shape[0]):
+            imf, monotonic = sift_imf(x[row], SiftStop(0.2, 3))
+            assert not monotonic and np.array_equal(capped[row], imf)
+        # the intermittent, random-walk and noise rows hit the sweep cap;
+        # the tonal rows stop on the sd and IMF tests before it
+        hit = [not np.array_equal(capped[r], free[r]) for r in range(1, x.shape[0])]
+        assert hit == [False, True, True, True, False]
+
+    def test_eemd_independent_of_batch_size(self, monkeypatch):
+        # windows straddle batches when each holds 1, 2 or 5 rows; a
+        # constant window takes the plain path
+        x = mixed_batch(256)
+        x[0] = 1.5
+        params = EemdParams(ensemble_size=3, master_seed=4)
+        default = eemd(x, params)
+        assert default[0].n_imfs == 0
+        for rows in (1, 2, 5):
+            monkeypatch.setattr(emd_module, "BATCH_SAMPLES", rows * x.shape[1])
+            for got, want in zip(eemd(x, params), default):
+                assert_same(got, want)
+        for row, want in zip(x, default):
+            assert_same(eemd(row, params), want)
+
+    def test_batch_checks_samples(self):
+        x = mixed_batch(64)
+        x[2, 9] = np.inf
+        with pytest.raises(DomainError, match="row 2 sample 9"):
+            emd(x)
+        with pytest.raises(DomainError):
+            emd(np.zeros((2, 3, 64)))
 
 
 class TestFindExtrema:
@@ -137,9 +309,33 @@ class TestEnvelopeMean:
 
     def test_singular_spline_system_raises(self):
         # repeated knots zero the diagonal; the solver's status must not
-        # be ignored
+        # be ignored, also when the singular block sits among good ones
+        good = np.array([-3, -1, 1, 3, 5, 7])
+        t = np.concatenate([good, np.zeros(3, dtype=int), good])
+        v = np.arange(t.size, dtype=float) % 4
+        work = emd_module._Work()
+        _natural_spline(good, v[:6], [6], 5, (np.empty((1, 5)),), work)
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-            _natural_spline(np.zeros(3, dtype=int), np.array([1.0, 2.0, 3.0]), 3)
+            _natural_spline(t, v, [6, 3, 6], 5, (np.empty((3, 5)),), work)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(1, 9), st.floats(-1e3, 1e3)),
+                             min_size=4, max_size=12), min_size=1, max_size=6),
+           st.integers(1, 40), st.integers(-20, 5))
+    def test_blocks_match_scipy_one_by_one(self, blocks, n, offset):
+        # one block-diagonal solve gives each block scipy's bits
+        t = np.concatenate([offset + np.cumsum([g for g, _ in b]) for b in blocks])
+        v = np.asarray([y for b in blocks for _, y in b])
+        sizes = [len(b) for b in blocks]
+        split = len(blocks) // 2
+        out = (np.empty((split, n)), np.empty((len(blocks) - split, n)))
+        _natural_spline(t, v, sizes, n, out, emd_module._Work())
+        got = np.vstack(out)
+        grid = np.arange(n)
+        at = np.cumsum([0] + sizes)
+        for row, (lo, hi) in enumerate(zip(at[:-1], at[1:])):
+            spline = CubicSpline(t[lo:hi], v[lo:hi], bc_type="natural")
+            assert np.array_equal(got[row], spline(grid))
 
     def test_pure_sine_mean_near_zero(self):
         t = np.arange(2000) / 1000.0

@@ -10,8 +10,14 @@ from chatterdetect import (
     EemdParams,
     ExperimentReport,
     ExperimentSpec,
+    FrequencyBand,
+    Segment,
+    TimeSeries,
     ValidationError,
+    eemd,
+    eemd_features,
     emit_report,
+    in_band_fraction,
     load_manifest,
     prepare_eemd_config,
     prepare_from_manifest,
@@ -21,7 +27,7 @@ from chatterdetect import (
     run_within,
 )
 from chatterdetect.harness import _draw_split
-from synthetic_corpus import make_config, make_segments, write_corpus_files
+from synthetic_corpus import FS, make_config, make_segments, write_corpus_files
 
 FAST_EEMD = EemdParams(ensemble_size=4, master_seed=0)
 
@@ -96,6 +102,31 @@ class TestPreparation:
         s = eemd_prepared.samples[0]
         assert s.imf_features.shape[1] == 7
         assert s.imf_band_fractions.size == s.imf_features.shape[0]
+
+    def test_eemd_batch_matches_per_window(self):
+        # 13 windows x 4 members fill more than one sifting batch; the
+        # constant segment's windows take the plain-EMD path, get no IMFs
+        # and are dropped
+        segments = make_segments(seed=3, n_stable=3, n_chatter=3, seg_len=2000)
+        segments.append(Segment(TimeSeries(np.full(1500, 0.25), FS), 0, ("flat", 0)))
+        config = make_config()
+        prepared = prepare_eemd_config(config, segments, window_len=1000,
+                                       eemd_params=FAST_EEMD)
+        band = FrequencyBand(*config.chatter_band_hz)
+        expected = {}
+        for seg in segments:
+            for w in range(seg.series.samples.size // 1000):
+                imfs = eemd(seg.series.samples[w * 1000 : (w + 1) * 1000], FAST_EEMD)
+                if imfs.n_imfs:
+                    expected[(*seg.source, w)] = imfs
+        assert ("flat", 0, 0) not in expected
+        assert [s.sample_id for s in prepared.samples] == sorted(expected)
+        for s in prepared.samples:
+            imfs = expected[s.sample_id]
+            feats = np.vstack([eemd_features(imfs, i + 1) for i in range(imfs.n_imfs)])
+            fractions = [in_band_fraction(c, band, FS) for c in imfs.imfs]
+            assert np.array_equal(s.imf_features, feats)
+            assert np.array_equal(s.imf_band_fractions, fractions)
 
     def test_empty_segments_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -53,6 +54,18 @@ class TestLoadTimeseries:
     def test_malformed_row_has_line_number(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
             load_timeseries(write(tmp_path, "1.0\nnope\n"), 10000)
+
+    @pytest.mark.parametrize("text, line", [
+        ("1.0\nnope\n", 2),  # a bad value
+        ("0.0,0.5\ninf,0.7\n", 2),  # a non-finite time
+        ("1.0\n2.0,3.0,4.0\n", 2),  # too many columns
+        ("0.0,0.5\n0.7\n", 2),  # a changed column count
+    ])
+    def test_parse_error_names_the_file(self, tmp_path, text, line):
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: ") as info:
+            load_timeseries(path, 10000)
+        assert info.value.path == path and info.value.line_number == line
 
     def test_header_skipped(self, tmp_path):
         ts = load_timeseries(write(tmp_path, "time_s,acc\n0.0,1.0\n0.001,2.0\n"), 1000)
@@ -194,6 +207,12 @@ def label_rows(draw):
 
 
 class TestLoadLabels:
+    @pytest.mark.parametrize("row", ["0,1", "0,1,stable,extra", "0,x,stable", "nan,1,stable"])
+    def test_parse_error_names_the_file(self, tmp_path, row):
+        path = write(tmp_path, f"start_s,end_s,label\n{row}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: "):
+            load_labels(path)
+
     def test_basic(self, tmp_path):
         path = write(tmp_path, "start_s,end_s,label\n0,1,stable\n1,2,CHATTER\n2,3,Mild\n")
         labels = load_labels(path)
