@@ -28,6 +28,7 @@ from .ingest import (
     filter_and_downsample,
     load_manifest,
     load_timeseries,
+    read_json,
 )
 from .ml import make_trainer
 from .wavelet import wpt_decompose
@@ -54,8 +55,8 @@ def build_parser():
     manifest.add_argument("--window-len", type=int, default=1000)
     manifest.add_argument(
         "--workers", type=int, default=1,
-        help="accepted for compatibility; has no effect (EEMD results are "
-             "bitwise identical for any batch composition)",
+        help="accepted and ignored: EEMD runs in one thread, and its results "
+             "are bitwise identical for any batch composition",
     )
 
     evaluation = argparse.ArgumentParser(add_help=False)
@@ -193,7 +194,6 @@ def _prepare(args, stickout_ids):
         harness.prepare_from_manifest(
             manifest, sid, args.method, level=args.level,
             window_len=args.window_len, eemd_params=eemd_params,
-            n_workers=args.workers,
         )
         for sid in stickout_ids
     ]
@@ -267,8 +267,8 @@ def _spec(args, mode, train_configs, test_configs):
 
 
 def _cmd_evaluate_within(args):
-    [prepared] = _prepare(args, [args.stickout])
     spec = _spec(args, "within", [args.stickout], [args.stickout])
+    [prepared] = _prepare(args, [args.stickout])
     report = harness.run_within(spec, prepared)
     path = harness.emit_report(
         report, args.out, f"within_{args.stickout}_{args.method}_{args.classifier}"
@@ -294,9 +294,14 @@ def _cmd_evaluate_transfer(args):
 
 
 def _cmd_report(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        report = harness.ExperimentReport.from_dict(json.load(fh))
-    path = harness.emit_report(report, args.out, Path(args.input).stem)
+    doc = read_json(args.input)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{args.input}: a report is an object, not {type(doc).__name__}")
+    try:
+        report = harness.ExperimentReport.from_dict(doc)
+        path = harness.emit_report(report, args.out, Path(args.input).stem)
+    except KeyError as exc:
+        raise ValidationError(f"{args.input}: report has no {exc.args[0]!r} key") from None
     print(json.dumps({"output": str(path)}))
 
 

@@ -436,7 +436,7 @@ def emd(x, max_imfs=10, stop=None, work=None):
     return [ImfSet(c, r.copy()) for c, r in zip(imfs, residue)]
 
 
-def eemd(x, params=None, n_workers=1):
+def eemd(x, params=None):
     """Ensemble EMD: average the IMFs of noise-perturbed decompositions.
 
     Member e of a window adds noise drawn from (master_seed, e), scaled by
@@ -447,8 +447,7 @@ def eemd(x, params=None, n_workers=1):
     finish.  Every row is sifted on its own stop tests, so the result is
     bitwise identical for any batch composition and equal to decomposing
     each window alone.  A window with zero standard deviation, or zero
-    noise_std_fraction, gets plain EMD.  n_workers is accepted for
-    compatibility and has no effect.
+    noise_std_fraction, gets plain EMD.
     """
     x = _as_signal(x)
     if x.ndim == 1:

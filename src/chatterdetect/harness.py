@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +58,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.method not in ("wpt", "eemd"):
             raise ValidationError(f"unknown method {self.method!r}")
+        if self.n_realizations < 1:
+            raise ValidationError(f"n_realizations must be positive, got {self.n_realizations}")
         tf, sf = self.split
         if not (0 < tf <= 1 and 0 < sf <= 1):
             raise ValidationError("split fractions must lie in (0, 1]")
@@ -172,10 +175,9 @@ def prepare_wpt_config(config, segments, level):
     return PreparedConfig(config, "wpt", fs, level, 0, prepared)
 
 
-def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None,
-                        n_workers=1):
+def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
     """Window every segment, decompose all windows in one eemd call, featurize
-    every IMF.  n_workers is accepted for compatibility and has no effect."""
+    every IMF."""
     if eemd_params is None:
         eemd_params = EemdParams()
     windows = window_segments(segments, window_len)
@@ -224,12 +226,12 @@ def segments_from_manifest(manifest, stickout_id, mild_as_chatter=True):
 
 
 def prepare_from_manifest(manifest, stickout_id, method, level=4,
-                          window_len=1000, eemd_params=None, n_workers=1):
+                          window_len=1000, eemd_params=None):
     config = manifest.config(stickout_id)
     segments = segments_from_manifest(manifest, stickout_id)
     if method == "wpt":
         return prepare_wpt_config(config, segments, level)
-    return prepare_eemd_config(config, segments, window_len, eemd_params, n_workers)
+    return prepare_eemd_config(config, segments, window_len, eemd_params)
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +360,16 @@ def _realize(spec, draw):
         Xtr, ytr = _stack(train)
         Xte, yte = _stack(test)
         seed = np.random.SeedSequence([spec.master_seed, r, 7]).generate_state(1)[0]
-        trainer = make_trainer(spec.classifier, seed=int(seed))
-        ranking = rfe_rank(Xtr, ytr, trainer)
-        accs = nested_feature_accuracies(Xtr, ytr, Xte, yte, ranking, trainer)
+        ranking = rfe_rank(Xtr, ytr, make_trainer(spec.classifier, seed=int(seed)))
         logs.append({
             "realization": r,
             "selection": selection,
             "ranking": list(ranking.order),
-            "accuracies": [[k, tr, te] for k, tr, te in accs],
+            "accuracies": nested_feature_accuracies(Xtr, ytr, Xte, yte, ranking),
             "n_train": int(len(ytr)),
             "n_test": int(len(yte)),
         })
+        del ranking  # drop its step models before the next realization's RFE
     return _aggregate(spec, FEATURE_NAMES[spec.method], logs)
 
 
@@ -459,34 +460,27 @@ def _row_label(k):
 
 
 def emit_report(report, out_dir, basename="report"):
-    """Write the report as JSON plus CSV and aligned-text accuracy tables."""
-    from pathlib import Path
-
+    """Write the report as JSON plus CSV and text tables; a missing key writes none."""
+    spec = report.spec
+    csv_text = "features,mean_test,std_test,mean_train,std_train\n" + "".join(
+        f"{_row_label(row['k'])},{row['mean_test']:.4f},{row['std_test']:.4f},"
+        f"{row['mean_train']:.4f},{row['std_train']:.4f}\n"
+        for row in report.per_k
+    )
+    txt_text = (
+        f"method={spec['method']} classifier={spec['classifier']} "
+        f"mode={spec['mode']} realizations={report.n_realizations}\n"
+        f"{'features':<10}{'test acc':>18}{'train acc':>18}\n"
+    ) + "".join(
+        f"{_row_label(row['k']):<10}"
+        f"{100 * row['mean_test']:>8.1f} +/- {100 * row['std_test']:<5.1f}"
+        f"{100 * row['mean_train']:>8.1f} +/- {100 * row['std_train']:<5.1f}\n"
+        for row in report.per_k
+    )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{basename}.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-    csv_path = out_dir / f"{basename}.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("features,mean_test,std_test,mean_train,std_train\n")
-        for row in report.per_k:
-            fh.write(
-                f"{_row_label(row['k'])},{row['mean_test']:.4f},{row['std_test']:.4f},"
-                f"{row['mean_train']:.4f},{row['std_train']:.4f}\n"
-            )
-    txt_path = out_dir / f"{basename}.txt"
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        spec = report.spec
-        fh.write(
-            f"method={spec['method']} classifier={spec['classifier']} "
-            f"mode={spec['mode']} realizations={report.n_realizations}\n"
-        )
-        fh.write(f"{'features':<10}{'test acc':>18}{'train acc':>18}\n")
-        for row in report.per_k:
-            fh.write(
-                f"{_row_label(row['k']):<10}"
-                f"{100 * row['mean_test']:>8.1f} +/- {100 * row['std_test']:<5.1f}"
-                f"{100 * row['mean_train']:>8.1f} +/- {100 * row['std_train']:<5.1f}\n"
-            )
+    json_path.write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
+    (out_dir / f"{basename}.csv").write_text(csv_text, encoding="utf-8")
+    (out_dir / f"{basename}.txt").write_text(txt_text, encoding="utf-8")
     return json_path

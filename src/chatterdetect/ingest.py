@@ -181,6 +181,14 @@ def _read_lines(path):
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def read_json(path):
+    """A UTF-8 JSON file's document; a ParseError names the line of bad input."""
+    try:
+        return json.loads("\n".join(_read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc.msg}", exc.lineno, path) from None
+
+
 def _tokens(line):
     """The non-empty comma-separated tokens of a line, stripped."""
     return [t.strip() for t in line.split(",") if t.strip() != ""]
@@ -288,18 +296,15 @@ def load_timeseries(path, sample_rate_hz):
 
 
 def load_labels(path):
-    """Read a label CSV of `start_s,end_s,label` rows."""
+    """Read a label CSV of `start_s,end_s,label` rows, after an optional header."""
     intervals = []
     for line_number, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue
+        if line_number == 1 and _is_header(_tokens(line)):
+            continue
         tokens = [t.strip() for t in line.split(",")]
-        if line_number == 1:
-            try:
-                float(tokens[0])
-            except ValueError:
-                continue  # header row
         if len(tokens) != 3:
             raise ParseError(f"expected 3 columns, got {len(tokens)}", line_number, path)
         start = _parse_float(tokens[0], path, line_number, "start_s")
@@ -341,11 +346,7 @@ def load_manifest(path):
     Relative signal/label paths are resolved against the manifest location.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc.msg}", exc.lineno, path) from None
+    doc = read_json(path)
     if isinstance(doc, list):
         raw_records, raw_configs = doc, {}
     elif isinstance(doc, dict):

@@ -507,9 +507,10 @@ def train_boosting(X, y, n_stages=100, learning_rate=0.1, tree_depth=3, seed=0):
 
 @dataclass(frozen=True)
 class FeatureRanking:
-    """Feature indices (0-based), best first."""
+    """Feature indices (0-based), best first; models[k-1] is fit on sorted(order[:k])."""
 
     order: tuple
+    models: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
@@ -523,40 +524,39 @@ class FeatureRanking:
 def rfe_rank(X, y, trainer):
     """Recursive feature elimination.
 
-    Each iteration trains on the surviving features and removes the one with
-    the smallest importance (linear models: squared weight; ensembles: total
-    impurity decrease).  Ties remove the higher original index first.  The
-    number of iterations equals the number of features; the ranking is the
-    removal order reversed.
+    Each iteration trains on the surviving features (in original index
+    order) and removes the one with the smallest importance (linear models:
+    squared weight; ensembles: total impurity decrease).  Ties remove the
+    higher original index first.  The ranking is the removal order reversed
+    and keeps every iteration's model.
     """
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
     if d < 1:
         raise DomainError("need at least one feature")
     surviving = list(range(d))
-    removed = []
+    removed, models = [], []
     while surviving:
-        model = trainer(X[:, surviving], y)
-        imp = np.asarray(model.feature_importances(), dtype=float)
-        min_val = imp.min()
-        ties = [surviving[i] for i in range(len(surviving)) if imp[i] == min_val]
-        victim = max(ties)
+        models.append(trainer(X[:, surviving], y))
+        imp = np.asarray(models[-1].feature_importances(), dtype=float)
+        victim = surviving[np.flatnonzero(imp == imp.min())[-1]]
         surviving.remove(victim)
         removed.append(victim)
-    return FeatureRanking(tuple(reversed(removed)))
+    return FeatureRanking(tuple(reversed(removed)), tuple(reversed(models)))
 
 
-def nested_feature_accuracies(X_train, y_train, X_test, y_test, ranking, trainer):
-    """Accuracy of models refit on the top-k ranked features, k = 1..d."""
+def nested_feature_accuracies(X_train, y_train, X_test, y_test, ranking):
+    """Rows [k, train acc, test acc] of RFE's own model on the top-k features."""
+    if len(ranking.models) != ranking.n_features:
+        raise DomainError("ranking lacks a model per feature count; rank with rfe_rank")
     X_train = np.asarray(X_train, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
     results = []
-    for k in range(1, ranking.n_features + 1):
-        cols = list(ranking.order[:k])
-        model = trainer(X_train[:, cols], y_train)
+    for k, model in enumerate(ranking.models, start=1):
+        cols = sorted(ranking.order[:k])
         train_acc = float(np.mean(model.predict(X_train[:, cols]) == y_train))
         test_acc = float(np.mean(model.predict(X_test[:, cols]) == y_test))
-        results.append((k, train_acc, test_acc))
+        results.append([k, train_acc, test_acc])
     return results
 
 

@@ -356,6 +356,42 @@ class TestErrorContract:
         assert record["error"] == "ValidationError"
         assert "one train and one test" in record["message"]
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_non_positive_realizations_exit_1(self, corpus, capsys, tmp_path, count):
+        _, manifest = corpus
+        code, _, err = run(
+            capsys, "evaluate-within", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--level", "3", "--classifier", "logreg",
+            "--realizations", count, "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert "n_realizations" in record["message"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("data, error, fragment", [
+        (b'{\n  "spec": {},\n  "per_k": [\n', "ParseError", "line 4"),
+        (b'{"spec": "\xff"}', "ParseError", "UTF-8"),
+        (b"{}", "ValidationError", "no 'spec' key"),
+        (b"[]", "ValidationError", "object"),
+        (json.dumps({
+            "spec": {"method": "wpt", "classifier": "svm", "mode": "within"},
+            "feature_names": ["a"], "per_k": [{"k": 1}], "realizations": [],
+            "n_realizations": 1,
+        }).encode(), "ValidationError", "no 'mean_test' key"),
+    ])
+    def test_bad_report_input_exit_1(self, tmp_path, capsys, data, error, fragment):
+        src = tmp_path / "report.json"
+        src.write_bytes(data)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "report", "--input", str(src), "--out", str(out))
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == error
+        assert fragment in record["message"] and str(src) in record["message"]
+        assert not out.exists()
+
     def test_non_utf8_signal_exit_1(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_bytes(b"1.0\n\xff\xfe\n")

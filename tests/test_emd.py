@@ -505,15 +505,6 @@ class TestEemd:
             assert np.array_equal(ca, cb)
         assert np.array_equal(a.residue, b.residue)
 
-    def test_worker_count_invariant(self):
-        x, _ = intermittent_signal()
-        params = EemdParams(ensemble_size=8, master_seed=5)
-        serial = eemd(x, params, n_workers=1)
-        threaded = eemd(x, params, n_workers=4)
-        for ca, cb in zip(serial.imfs, threaded.imfs):
-            assert np.array_equal(ca, cb)
-        assert np.array_equal(serial.residue, threaded.residue)
-
     def test_seed_changes_result(self):
         x, _ = intermittent_signal()
         a = eemd(x, EemdParams(ensemble_size=4, master_seed=0))

@@ -26,6 +26,7 @@ from chatterdetect import (
     run_transfer_combined,
     run_within,
 )
+from chatterdetect import harness
 from chatterdetect.harness import _draw_split
 from synthetic_corpus import FS, make_config, make_segments, write_corpus_files
 
@@ -69,6 +70,11 @@ class TestExperimentSpec:
     def test_transfer_takes_one_config_per_side(self, train, test):
         with pytest.raises(ValidationError, match="one train and one test"):
             ExperimentSpec("wpt", "svm", train, test, mode="transfer")
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_realizations_must_be_positive(self, count):
+        with pytest.raises(ValidationError, match="n_realizations"):
+            within_spec(n_realizations=count)
 
     def test_combined_requires_four_distinct(self):
         with pytest.raises(ValidationError):
@@ -188,6 +194,24 @@ class TestRunWithin:
         for row in report.per_k:
             assert 0.0 <= row["mean_test"] <= 1.0
             assert row["std_test"] >= 0.0
+
+    def test_one_fit_per_feature_set(self, wpt_prepared, monkeypatch):
+        # RFE fits d, d-1, ..., 1 features; the accuracy table reuses those
+        # models, so a realization makes d fits, not 2d
+        fits = []
+        make_trainer = harness.make_trainer
+
+        def counting(classifier, seed=0):
+            trainer = make_trainer(classifier, seed=seed)
+
+            def fit(X, y):
+                fits.append(X.shape[1])
+                return trainer(X, y)
+            return fit
+
+        monkeypatch.setattr(harness, "make_trainer", counting)
+        run_within(within_spec(n_realizations=2), wpt_prepared)
+        assert fits == list(range(14, 0, -1)) * 2
 
     def test_synthetic_corpus_is_learnable(self, wpt_prepared):
         report = run_within(within_spec(classifier="svm"), wpt_prepared)

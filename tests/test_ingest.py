@@ -213,6 +213,13 @@ class TestLoadLabels:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: "):
             load_labels(path)
 
+    def test_malformed_first_row_is_not_a_header(self, tmp_path):
+        # the header rule of load_timeseries: a first non-empty token that
+        # is a number makes line 1 data, so its empty start_s is an error
+        path = write(tmp_path, ",1.0,stable\n1,2,chatter\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 1: "):
+            load_labels(path)
+
     def test_basic(self, tmp_path):
         path = write(tmp_path, "start_s,end_s,label\n0,1,stable\n1,2,CHATTER\n2,3,Mild\n")
         labels = load_labels(path)

@@ -452,14 +452,34 @@ class TestRfe:
 
     def test_nested_accuracies_shape_and_range(self):
         X, y = self.planted(seed=2)
-        trainer = make_trainer("logistic")
-        ranking = rfe_rank(X, y, trainer)
+        ranking = rfe_rank(X, y, make_trainer("logistic"))
         Xt, yt = self.planted(seed=99)
-        rows = nested_feature_accuracies(X, y, Xt, yt, ranking, trainer)
+        rows = nested_feature_accuracies(X, y, Xt, yt, ranking)
         assert [k for k, _, _ in rows] == list(range(1, 11))
         assert all(0.0 <= tr <= 1.0 and 0.0 <= te <= 1.0 for _, tr, te in rows)
         # the two planted features alone should generalize well
         assert rows[1][2] > 0.9
+
+    @pytest.mark.parametrize("classifier", ["svm", "logistic", "forest", "boosting"])
+    def test_nested_accuracies_equal_refit_oracle(self, classifier):
+        # RFE's step with k survivors fits the columns sorted(order[:k]);
+        # refitting them with the same trainer must score the same
+        X, y = self.planted(seed=4, n=60, d=5, informative=(1, 3))
+        Xt, yt = self.planted(seed=98, n=60, d=5, informative=(1, 3))
+        trainer = make_trainer(classifier, seed=3)
+        ranking = rfe_rank(X, y, trainer)
+        want = []
+        for k in range(1, 6):
+            cols = sorted(ranking.order[:k])
+            model = trainer(X[:, cols], y)
+            want.append([k, float(np.mean(model.predict(X[:, cols]) == y)),
+                         float(np.mean(model.predict(Xt[:, cols]) == yt))])
+        assert nested_feature_accuracies(X, y, Xt, yt, ranking) == want
+
+    def test_nested_accuracies_need_the_step_models(self):
+        X, y = blobs(d=2)
+        with pytest.raises(DomainError, match="rfe_rank"):
+            nested_feature_accuracies(X, y, X, y, FeatureRanking((1, 0)))
 
 
 class TestMakeTrainer:
