@@ -30,7 +30,7 @@ from .ingest import (
     load_timeseries,
     read_json,
 )
-from .ml import make_trainer
+from .ml import CLASSIFIER_ALIASES, make_trainer
 from .wavelet import wpt_decompose
 
 
@@ -133,10 +133,6 @@ def _parse_args(parser, argv):
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
-def _classifier_name(flag):
-    return {"logreg": "logistic", "boost": "boosting"}.get(flag, flag)
-
-
 def _eemd_params(args):
     return EemdParams(
         ensemble_size=args.ensemble_size,
@@ -236,10 +232,16 @@ def _cmd_train(args):
         raise ValidationError(
             f"{args.features}: no 'label' column (columns: {', '.join(names)})"
         )
-    y = np.asarray(table["label"], dtype=int)
+    if names == ["label"]:
+        raise ValidationError(f"{args.features}: no feature column besides 'label'")
+    labels = np.atleast_1d(table["label"])
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ValidationError(
+            f"{args.features}: data row {bad[0] + 1} has label {labels[bad[0]]}, not 0 or 1")
+    y = labels.astype(int)
     X = np.column_stack([table[c] for c in names if c != "label"])
-    trainer = make_trainer(_classifier_name(args.classifier), seed=args.seed)
-    model = trainer(X, y)
+    model = make_trainer(args.classifier, seed=args.seed)(X, y)
     path = Path(args.out)
     if path.is_dir():
         path = path / f"model_{args.classifier}.json"
@@ -253,7 +255,7 @@ def _spec(args, mode, train_configs, test_configs):
     split = harness.WITHIN_SPLIT if mode == "within" else harness.TRANSFER_SPLIT
     return harness.ExperimentSpec(
         method=args.method,
-        classifier=_classifier_name(args.classifier),
+        classifier=CLASSIFIER_ALIASES.get(args.classifier, args.classifier),
         train_configs=tuple(train_configs),
         test_configs=tuple(test_configs),
         mode=mode,
@@ -302,6 +304,8 @@ def _cmd_report(args):
         path = harness.emit_report(report, args.out, Path(args.input).stem)
     except KeyError as exc:
         raise ValidationError(f"{args.input}: report has no {exc.args[0]!r} key") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{args.input}: {exc}") from None
     print(json.dumps({"output": str(path)}))
 
 

@@ -305,13 +305,20 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            spec=d["spec"],
-            feature_names=tuple(d["feature_names"]),
-            per_k=d["per_k"],
-            realizations=d["realizations"],
-            n_realizations=d["n_realizations"],
-        )
+        """A missing key raises KeyError, a value of the wrong type ValidationError."""
+        for key, kind, noun in (("spec", dict, "an object"),
+                                ("feature_names", list, "a list"), ("per_k", list, "a list")):
+            if not isinstance(d[key], kind):
+                raise ValidationError(f"report key {key!r} holds {d[key]!r}, not {noun}")
+        for i, row in enumerate(d["per_k"]):
+            if not isinstance(row, dict):
+                raise ValidationError(f"report key 'per_k[{i}]' holds {row!r}, not an object")
+            for key in ("k", "mean_test", "std_test", "mean_train", "std_train"):
+                if type(row[key]) not in (int, float):  # bool and None are not numbers
+                    raise ValidationError(
+                        f"report key 'per_k[{i}].{key}' holds {row[key]!r}, not a number")
+        return cls(d["spec"], tuple(d["feature_names"]), d["per_k"], d["realizations"],
+                   d["n_realizations"])
 
     def best_row(self):
         return max(self.per_k, key=lambda row: row["mean_test"])
@@ -332,13 +339,7 @@ def _aggregate(spec, feature_names, logs):
                 "std_test": float(test.std(ddof=0)),
             }
         )
-    return ExperimentReport(
-        spec=spec.to_dict(),
-        feature_names=tuple(feature_names),
-        per_k=per_k,
-        realizations=logs,
-        n_realizations=len(logs),
-    )
+    return ExperimentReport(spec.to_dict(), tuple(feature_names), per_k, logs, len(logs))
 
 
 def _stack(parts):

@@ -8,7 +8,7 @@ solvers are scale-sensitive); the tree ensembles consume raw features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,6 +137,8 @@ def train_svm(X, y, C=1.0, tol=1e-4, max_passes=20000, standardize=True):
     an augmented constant feature, and the solver runs until the duality gap
     drops below tol (relative to max(1, primal)).
     """
+    if max_passes < 1:
+        raise DomainError(f"the SVM needs at least one pass, got max_passes={max_passes}")
     y = _check_two_classes(y)
     X = _check_finite(X)
     std = Standardizer.fit(X) if standardize else None
@@ -147,8 +149,7 @@ def train_svm(X, y, C=1.0, tol=1e-4, max_passes=20000, standardize=True):
     q = np.einsum("ij,ij->i", A, A)
     alpha = np.zeros(n)
     w = np.zeros(d + 1)
-    gap = np.inf
-    for _ in range(max_passes):
+    for passes in range(1, max_passes + 1):
         for i in range(n):
             if q[i] == 0.0:
                 continue
@@ -163,11 +164,13 @@ def train_svm(X, y, C=1.0, tol=1e-4, max_passes=20000, standardize=True):
         primal = 0.5 * (w @ w) + C * hinge.sum()
         dual = alpha.sum() - 0.5 * (w @ w)
         gap = primal - dual
-        if gap <= tol * max(1.0, abs(primal)):
+        converged = bool(gap <= tol * max(1.0, abs(primal)))
+        if converged:
             break
     return LinearModel(
         w[:-1].copy(), float(w[-1]), "svm", std,
-        diagnostics={"duality_gap": float(gap), "primal": float(primal)},
+        diagnostics={"duality_gap": float(gap), "primal": float(primal),
+                     "passes": passes, "converged": converged},
     )
 
 
@@ -217,40 +220,6 @@ def train_logistic(X, y, l2=1e-4, tol=1e-6, max_iter=10000, standardize=True):
 
 # ---------------------------------------------------------------------------
 # decision trees
-
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-    def to_dict(self):
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        if "value" in d:
-            return cls(value=float(d["value"]))
-        return cls(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
-
 
 def _impurity_gains(t, ts):
     """Gini impurity decrease of every cut: t holds the node's 0/1 labels,
@@ -318,15 +287,19 @@ def _best_split(X, target, idx, feats, gains):
     return int(feats[f]), (thr if thr < b else a), g[best]
 
 
-def _fit_tree(X, target, max_depth, gains, leaf_value, importances,
+def _fit_tree(X, target, max_depth, gains, leaf_value, importances, nodes,
               n_feats=None, rng=None):
-    """Grow a tree on all rows of X, adding each split's weighted gain to
-    importances.  When n_feats is below the feature count, each split draws
-    that many candidate features from rng; leaf_value(idx) sets a leaf from
-    the indices of its rows."""
+    """Grow a tree on all rows of X: append its [feature, threshold, left,
+    right, value] rows to nodes in pre-order, add each split's weighted gain
+    to importances, and return each row's leaf value.  When n_feats is below
+    the feature count, each split draws that many candidate features from
+    rng; leaf_value(idx) sets a leaf from the indices of its rows."""
     n, d = X.shape
+    fitted = np.empty(n)
 
     def grow(idx, depth):
+        node = len(nodes)
+        nodes.append([-1, 0.0, node, node, 0.0])
         t = target[idx]
         if depth < max_depth and idx.size >= 2 and not np.all(t == t[0]):
             if n_feats is None or n_feats >= d:
@@ -338,29 +311,25 @@ def _fit_tree(X, target, max_depth, gains, leaf_value, importances,
                 f, thr, gain = best
                 importances[f] += gain * idx.size / n
                 left = X[idx, f] <= thr
-                return TreeNode(f, thr, grow(idx[left], depth + 1),
-                                grow(idx[~left], depth + 1))
-        return TreeNode(value=leaf_value(idx))
+                nodes[node][:4] = (f, thr, grow(idx[left], depth + 1),
+                                   grow(idx[~left], depth + 1))
+                return node
+        nodes[node][4] = fitted[idx] = leaf_value(idx)
+        return node
 
-    return grow(np.arange(n), 0)
+    grow(np.arange(n), 0)
+    return fitted
 
 
-def _tree_apply(node, X):
-    """Leaf value per row."""
-    n = X.shape[0]
-    values = np.empty(n)
-    stack = [(node, np.arange(n))]
-    while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if nd.is_leaf:
-            values[idx] = nd.value
-            continue
-        mask = X[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[mask]))
-        stack.append((nd.right, idx[~mask]))
-    return values
+def _read_tree(d, nodes):
+    """Append a to_dict tree to nodes as _fit_tree grows one; returns its
+    root's index."""
+    node = len(nodes)
+    nodes.append([-1, 0.0, node, node, float(d.get("value", 0.0))])
+    if "value" not in d:
+        nodes[node][:4] = (int(d["feature"]), float(d["threshold"]),
+                           _read_tree(d["left"], nodes), _read_tree(d["right"], nodes))
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +337,17 @@ def _tree_apply(node, X):
 
 @dataclass(frozen=True)
 class TreeEnsembleModel:
-    trees: list
+    """All trees of an ensemble in one node table; tree t's nodes follow
+    roots[t] in pre-order.  Node i sends a row to left[i] when its feature[i]
+    is at most threshold[i], else to right[i]; a leaf has feature -1, is its
+    own left and right child, and holds value[i]."""
+
+    feature: np.ndarray = field(repr=False)
+    threshold: np.ndarray = field(repr=False)
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+    value: np.ndarray = field(repr=False)
+    roots: np.ndarray = field(repr=False)
     mode: str  # "forest-vote" or "boosted-sum"
     learning_rate: float = 0.0
     base_score: float = 0.0
@@ -376,22 +355,38 @@ class TreeEnsembleModel:
     oob_accuracy: float | None = None
     train_deviances: list | None = field(default=None, repr=False)
 
+    @classmethod
+    def from_nodes(cls, nodes, roots, **kwargs):
+        """A model from [feature, threshold, left, right, value] rows."""
+        table = np.array(nodes, dtype=float).reshape(-1, 5)
+        feature, left, right = table[:, [0, 2, 3]].astype(np.intp).T
+        return cls(feature, table[:, 1], left, right, table[:, 4],
+                   np.asarray(roots, dtype=np.intp), **kwargs)
+
+    def leaf_values(self, X):
+        """(trees x rows) array of the leaf value each tree gives each row."""
+        X = np.asarray(X, dtype=float)
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
+        rows = np.arange(X.shape[0])
+        # a row that reached a leaf stays there, so step all rows until all have
+        while (self.feature[node] >= 0).any():
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
+
     def votes(self, X):
         if self.mode != "forest-vote":
             raise DomainError("votes are defined for forests only")
-        X = np.asarray(X, dtype=float)
-        tally = np.zeros(X.shape[0])
-        for t in self.trees:
-            tally += _tree_apply(t, X) >= 0.5
-        return tally.astype(int)
+        return np.count_nonzero(self.leaf_values(X) >= 0.5, axis=0)
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
         if self.mode == "forest-vote":
-            return self.votes(X) / len(self.trees) - 0.5
-        score = np.full(X.shape[0], self.base_score)
-        for t in self.trees:
-            score += self.learning_rate * _tree_apply(t, X)
+            return self.votes(X) / self.roots.size - 0.5
+        leaves = self.leaf_values(X)
+        score = np.full(leaves.shape[1], self.base_score)
+        # tree by tree, in order: a sum over the tree axis rounds differently
+        for values in leaves:
+            score += self.learning_rate * values
         return score
 
     def predict(self, X):
@@ -399,6 +394,16 @@ class TreeEnsembleModel:
 
     def feature_importances(self):
         return self.importances
+
+    def _tree_dict(self, node):
+        if self.feature[node] < 0:
+            return {"value": float(self.value[node])}
+        return {
+            "feature": int(self.feature[node]),
+            "threshold": float(self.threshold[node]),
+            "left": self._tree_dict(self.left[node]),
+            "right": self._tree_dict(self.right[node]),
+        }
 
     def to_dict(self):
         return {
@@ -408,59 +413,52 @@ class TreeEnsembleModel:
             "learning_rate": self.learning_rate,
             "base_score": self.base_score,
             "importances": self.importances.tolist(),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [self._tree_dict(root) for root in self.roots],
         }
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            trees=[TreeNode.from_dict(t) for t in d["trees"]],
-            mode=d["mode"],
-            learning_rate=float(d["learning_rate"]),
+        nodes = []
+        roots = [_read_tree(t, nodes) for t in d["trees"]]
+        return cls.from_nodes(
+            nodes, roots, mode=d["mode"], learning_rate=float(d["learning_rate"]),
             base_score=float(d["base_score"]),
-            importances=np.asarray(d["importances"], dtype=float),
-        )
+            importances=np.asarray(d["importances"], dtype=float))
 
 
 def train_forest(X, y, n_trees=100, max_depth=2, seed=0):
     """Random forest: bootstrap resamples, Gini splits over sqrt(d) random
     candidate features, majority vote.  Per-tree streams derive from
     (seed, tree index), so results are schedule-independent."""
+    if n_trees < 1:
+        raise DomainError(f"a forest needs at least one tree, got n_trees={n_trees}")
     y = _check_two_classes(y)
     X = _check_finite(X)
     n, d = X.shape
     n_candidates = max(1, int(np.sqrt(d)))
     importances = np.zeros(d)
-    trees = []
-    oob_votes = np.zeros(n)
-    oob_counts = np.zeros(n)
+    nodes, roots = [], []
+    oob = np.ones((n_trees, n), dtype=bool)  # rows each tree's bootstrap left out
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         sample = rng.integers(0, n, size=n)
-        in_bag = np.zeros(n, dtype=bool)
-        in_bag[sample] = True
+        oob[t, sample] = False
         target = y[sample]
-        tree = _fit_tree(
+        roots.append(len(nodes))
+        _fit_tree(
             X[sample], target, max_depth, _impurity_gains,
-            lambda idx: float(np.mean(target[idx]) >= 0.5), importances,
+            lambda idx: float(np.mean(target[idx]) >= 0.5), importances, nodes,
             n_candidates, rng,
         )
-        trees.append(tree)
-        oob = ~in_bag
-        if np.any(oob):
-            oob_votes[oob] += _tree_apply(tree, X[oob]) >= 0.5
-            oob_counts[oob] += 1
+    model = TreeEnsembleModel.from_nodes(
+        nodes, roots, mode="forest-vote", importances=importances / n_trees)
+    oob_votes = np.count_nonzero((model.leaf_values(X) >= 0.5) & oob, axis=0)
+    oob_counts = np.count_nonzero(oob, axis=0)
     seen = oob_counts > 0
-    oob_accuracy = None
-    if np.any(seen):
-        oob_pred = (oob_votes[seen] / oob_counts[seen]) >= 0.5
-        oob_accuracy = float(np.mean(oob_pred == (y[seen] == 1)))
-    return TreeEnsembleModel(
-        trees=trees,
-        mode="forest-vote",
-        importances=importances / n_trees,
-        oob_accuracy=oob_accuracy,
-    )
+    if not np.any(seen):
+        return model
+    oob_pred = (oob_votes[seen] / oob_counts[seen]) >= 0.5
+    return replace(model, oob_accuracy=float(np.mean(oob_pred == (y[seen] == 1))))
 
 
 def train_boosting(X, y, n_stages=100, learning_rate=0.1, tree_depth=3, seed=0):
@@ -478,28 +476,23 @@ def train_boosting(X, y, n_stages=100, learning_rate=0.1, tree_depth=3, seed=0):
     base = float(np.log(p0 / (1.0 - p0)))
     score = np.full(n, base)
     importances = np.zeros(d)
-    trees = []
+    nodes, roots = [], []
     deviances = []
     for _ in range(n_stages):
         p = _sigmoid(score)
         residual = y - p
         hess = np.maximum(p * (1.0 - p), 1e-12)
         # Newton leaf values: sum(residual) / sum(p*(1-p)) over leaf samples
-        tree = _fit_tree(
+        roots.append(len(nodes))
+        fitted = _fit_tree(
             X, residual, tree_depth, _sse_gains,
-            lambda idx: residual[idx].sum() / hess[idx].sum(), importances,
+            lambda idx: residual[idx].sum() / hess[idx].sum(), importances, nodes,
         )
-        score = score + learning_rate * _tree_apply(tree, X)
-        trees.append(tree)
+        score = score + learning_rate * fitted
         deviances.append(float(np.sum(np.logaddexp(0.0, score) - y * score)))
-    return TreeEnsembleModel(
-        trees=trees,
-        mode="boosted-sum",
-        learning_rate=learning_rate,
-        base_score=base,
-        importances=importances / max(1, n_stages),
-        train_deviances=deviances,
-    )
+    return TreeEnsembleModel.from_nodes(
+        nodes, roots, mode="boosted-sum", learning_rate=learning_rate, base_score=base,
+        importances=importances / max(1, n_stages), train_deviances=deviances)
 
 
 # ---------------------------------------------------------------------------
@@ -563,18 +556,20 @@ def nested_feature_accuracies(X_train, y_train, X_test, y_test, ranking):
 # ---------------------------------------------------------------------------
 # trainer factory
 
-CLASSIFIER_NAMES = ("svm", "logistic", "forest", "boosting")
+# short names the CLI accepts, mapped to the names reports carry
+CLASSIFIER_ALIASES = {"logreg": "logistic", "boost": "boosting"}
 
 
 def make_trainer(classifier, seed=0):
-    """A (X, y) -> fitted-model callable for the named classifier."""
+    """A (X, y) -> fitted-model callable for the named classifier or alias."""
+    classifier = CLASSIFIER_ALIASES.get(classifier, classifier)
     if classifier == "svm":
         return lambda X, y: train_svm(X, y)
-    if classifier in ("logistic", "logreg"):
+    if classifier == "logistic":
         return lambda X, y: train_logistic(X, y)
     if classifier == "forest":
         return lambda X, y: train_forest(X, y, seed=seed)
-    if classifier in ("boosting", "boost"):
+    if classifier == "boosting":
         return lambda X, y: train_boosting(X, y, seed=seed)
     raise DomainError(f"unknown classifier {classifier!r}")
 

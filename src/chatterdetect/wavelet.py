@@ -29,10 +29,6 @@ class WaveletFilters:
     lowpass: np.ndarray
     highpass: np.ndarray
 
-    @property
-    def n_taps(self):
-        return self.lowpass.size
-
 
 @dataclass(frozen=True)
 class FrequencyBand:

@@ -341,6 +341,32 @@ class TestErrorContract:
         assert record["error"] == "ValidationError"
         assert "label" in record["message"] and str(features) in record["message"]
 
+    def test_train_without_feature_columns_exit_1(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("label\n0\n1\n")
+        code, _, err = run(
+            capsys, "train", "--features", str(features), "--classifier", "svm",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert "feature column" in record["message"] and str(features) in record["message"]
+
+    @pytest.mark.parametrize("label", ["1.5", "2", "-1", "nan"])
+    def test_train_label_not_zero_or_one_exit_1(self, tmp_path, capsys, label):
+        features = tmp_path / "features.csv"
+        features.write_text(f"x,label\n0.0,0\n1.0,1\n2.0,{label}\n")
+        code, _, err = run(
+            capsys, "train", "--features", str(features), "--classifier", "svm",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert "row 3" in record["message"] and str(features) in record["message"]
+        assert not list(tmp_path.glob("model_*.json"))
+
     @pytest.mark.parametrize("train, test", [(["A", "B", "C"], ["D"]),
                                              (["A"], ["C", "D"])])
     def test_transfer_config_counts_exit_1(self, corpus, capsys, tmp_path,
@@ -380,6 +406,16 @@ class TestErrorContract:
             "feature_names": ["a"], "per_k": [{"k": 1}], "realizations": [],
             "n_realizations": 1,
         }).encode(), "ValidationError", "no 'mean_test' key"),
+        (json.dumps({
+            "per_k": [{"k": 1, "mean_test": None, "std_test": 0.0, "mean_train": 1.0,
+                       "std_train": 0.0}],
+            "spec": {"method": "wpt", "classifier": "svm", "mode": "within"},
+            "feature_names": ["a"], "realizations": [], "n_realizations": 1,
+        }).encode(), "ValidationError", "'per_k[0].mean_test'"),
+        (b'{"spec": ["wpt"], "feature_names": [], "per_k": [], "realizations": [], '
+         b'"n_realizations": 1}', "ValidationError", "'spec'"),
+        (b'{"per_k": [3], "spec": {}, "feature_names": [], "realizations": [], '
+         b'"n_realizations": 1}', "ValidationError", "'per_k[0]'"),
     ])
     def test_bad_report_input_exit_1(self, tmp_path, capsys, data, error, fragment):
         src = tmp_path / "report.json"

@@ -20,7 +20,7 @@ from chatterdetect import (
     train_logistic,
     train_svm,
 )
-from chatterdetect.ml import _best_split, _impurity_gains, _sse_gains
+from chatterdetect.ml import CLASSIFIER_ALIASES, _best_split, _impurity_gains, _sse_gains
 
 
 def blobs(seed=0, n_per=50, d=4, gap=4.0):
@@ -113,6 +113,19 @@ class TestSvm:
         model = train_svm(X, y)
         clone = model_from_dict(model.to_dict())
         assert np.array_equal(clone.decision_function(X), model.decision_function(X))
+
+    def test_diagnostics_count_passes(self):
+        X, y = blobs(seed=3, gap=2.0)
+        done = train_svm(X, y).diagnostics
+        assert done["converged"] and 1 <= done["passes"] < 20000
+        cut = train_svm(X, y, tol=0.0, max_passes=2).diagnostics
+        assert cut["passes"] == 2 and not cut["converged"]
+
+    @pytest.mark.parametrize("passes", [0, -1])
+    def test_no_passes_rejected(self, passes):
+        X, y = blobs()
+        with pytest.raises(DomainError, match="max_passes"):
+            train_svm(X, y, max_passes=passes)
 
 
 class TestLogistic:
@@ -217,6 +230,12 @@ class TestForest:
         model = train_forest(X, y, n_trees=10, seed=0)
         clone = model_from_dict(model.to_dict())
         assert np.array_equal(clone.predict(X), model.predict(X))
+
+    @pytest.mark.parametrize("n_trees", [0, -3])
+    def test_no_trees_rejected(self, n_trees):
+        X, y = blobs()
+        with pytest.raises(DomainError, match="n_trees"):
+            train_forest(X, y, n_trees=n_trees)
 
 
 class TestBoosting:
@@ -407,6 +426,79 @@ def test_tree_models_golden_digest(trainer, digest):
     assert hashlib.sha256(json.dumps(model.to_dict()).encode()).hexdigest() == digest
 
 
+# SHA-256 of the forest's OOB accuracy, the boosting deviances and both
+# models' decision values on held-out rows, as linked tree nodes walked one
+# tree at a time gave them; the node table must keep every bit
+@pytest.mark.parametrize("trainer, digest", [
+    pytest.param(lambda X, y: train_forest(X, y, seed=5),
+                 "c99498718065a293a7dda48d456408d342ad4416bf9029d72809d297d2f35d50",
+                 id="forest"),
+    pytest.param(train_boosting,
+                 "79a462cbff87a54f1c459f78c3aff65c5a67b552dd8220b9d7d4f0e0b55181f7",
+                 id="boosting"),
+])
+def test_tree_predictions_golden_digest(trainer, digest):
+    X, y = golden_data()
+    model = trainer(X[:60], y[:60])
+    record = {"oob_accuracy": model.oob_accuracy, "train_deviances": model.train_deviances,
+              "decision": model.decision_function(X[60:]).tolist()}
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
+
+
+# A walker over the nested JSON trees, kept as the oracle of the node table.
+
+def _oracle_leaf(tree, x):
+    if "value" in tree:
+        return tree["value"]
+    side = "left" if x[tree["feature"]] <= tree["threshold"] else "right"
+    return _oracle_leaf(tree[side], x)
+
+
+def _oracle_predictions(doc, X):
+    """(votes or None, decision values) computed from model JSON."""
+    leaves = np.array([[_oracle_leaf(t, x) for x in X] for t in doc["trees"]])
+    if doc["mode"] == "forest-vote":
+        votes = np.sum(leaves >= 0.5, axis=0)
+        return votes, votes / len(doc["trees"]) - 0.5
+    score = np.full(len(X), doc["base_score"])
+    for values in leaves:
+        score = score + doc["learning_rate"] * values
+    return None, score
+
+
+@st.composite
+def tree_problems(draw):
+    """Training rows with both classes, held-out rows from the same
+    distribution (rounded grids make rows land on thresholds), and a
+    tree ensemble to fit."""
+    n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decimals = draw(st.sampled_from([0, 1, 8]))
+    X = np.round(rng.standard_normal((n + 20, d)), decimals)
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    depth, count, seed = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(0, 99))
+    if draw(st.booleans()):
+        model = train_forest(X[:n], y, n_trees=count, max_depth=depth, seed=seed)
+    else:
+        model = train_boosting(X[:n], y, n_stages=count, tree_depth=depth)
+    return model, X[n:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_problems())
+def test_node_table_matches_json_walker(problem):
+    model, X = problem
+    doc = json.loads(json.dumps(model.to_dict()))
+    votes, decision = _oracle_predictions(doc, X)
+    for m in (model, model_from_dict(doc)):
+        assert np.array_equal(m.decision_function(X), decision)
+        if votes is not None:
+            assert np.array_equal(m.votes(X), votes)
+        assert json.dumps(m.to_dict()) == json.dumps(doc)
+
+
 @pytest.mark.parametrize("trainer", [train_svm, train_logistic, train_forest,
                                      train_boosting])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -488,6 +580,12 @@ class TestMakeTrainer:
         for name in ("svm", "logistic", "logreg", "forest", "boosting", "boost"):
             model = make_trainer(name, seed=0)(X, y)
             assert model.predict(X).shape == y.shape
+
+    def test_aliases_name_the_same_trainer(self):
+        X, y = blobs(n_per=10)
+        for alias, name in CLASSIFIER_ALIASES.items():
+            a, b = make_trainer(alias, seed=1)(X, y), make_trainer(name, seed=1)(X, y)
+            assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
