@@ -3,7 +3,7 @@ learning between stickout cases, combined-training transfer, and report
 emission.
 
 Decomposition and feature extraction are precomputed once per sample (for
-every candidate packet / IMF index), so each realization only re-draws the
+every packet / IMF index), so each realization only re-draws the
 split, re-selects the informative component on its training side, and
 retrains.  Samples are keyed by stable ids, making reports invariant under
 manifest row order.

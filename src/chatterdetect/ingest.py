@@ -7,7 +7,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +49,9 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.sample_rate_hz <= 0:
-            raise ValidationError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < inf:
+            raise ValidationError(f"sample_rate_hz must be finite and positive, "
+                                  f"got {self.sample_rate_hz}")
         if self.samples.size == 0:
             raise ValidationError("time series must be nonempty")
 
@@ -287,8 +288,8 @@ def load_timeseries(path, sample_rate_hz):
     files are parsed by numpy's C reader; any file it refuses goes through
     the line scan, which names the offending line.
     """
-    if sample_rate_hz <= 0:
-        raise DomainError("sample_rate_hz must be positive")
+    if not 0 < sample_rate_hz < inf:
+        raise DomainError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
     rows = _read_rows(path)
     if rows is None:
         return _scan_timeseries(path, sample_rate_hz)
@@ -366,6 +367,9 @@ def load_manifest(path):
         try:
             signal_path = str((path.parent / rec["signal_path"]).resolve())
             label_path = str((path.parent / rec["label_path"]).resolve())
+            rate = float(rec.get("sample_rate_hz", 10000.0))
+            if not 0 < rate < inf:
+                raise ValueError(f"sample_rate_hz must be finite and positive, got {rate}")
             records.append(
                 ManifestRecord(
                     signal_path=signal_path,
@@ -373,7 +377,7 @@ def load_manifest(path):
                     stickout_id=str(rec["stickout_id"]),
                     rpm=rec.get("rpm"),
                     doc=rec.get("doc"),
-                    sample_rate_hz=float(rec.get("sample_rate_hz", 10000.0)),
+                    sample_rate_hz=rate,
                     file_id=str(rec.get("file_id", f"rec{i:04d}")),
                 )
             )
@@ -416,8 +420,8 @@ def design_lowpass(order, cutoff_hz, sample_rate_hz):
 
 def filter_and_downsample(ts, filt, target_rate_hz):
     """Causal low-pass filtering followed by integer-factor decimation."""
-    if target_rate_hz <= 0:
-        raise DomainError("target_rate_hz must be positive")
+    if not 0 < target_rate_hz < inf:
+        raise DomainError(f"target_rate_hz must be finite and positive, got {target_rate_hz}")
     ratio = ts.sample_rate_hz / target_rate_hz
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9 * max(1.0, ratio):
@@ -456,7 +460,7 @@ def cut_segments(ts, labels, mild_as_chatter=True, file_id=""):
             )
         prev_end = iv.end_s
     segments = []
-    for index, iv in sorted(enumerate(labels), key=lambda item: item[0]):
+    for index, iv in enumerate(labels):
         if iv.label is Label.UNKNOWN:
             continue
         if iv.label is Label.MILD and not mild_as_chatter:

@@ -543,7 +543,7 @@ def nested_feature_accuracies(X_train, y_train, X_test, y_test, ranking):
     if len(ranking.models) != ranking.n_features:
         raise DomainError("ranking lacks a model per feature count; rank with rfe_rank")
     X_train = np.asarray(X_train, dtype=float)
-    X_test = np.asarray(X_test, dtype=float)
+    X_test = _check_finite(X_test)  # a NaN row would silently predict 0
     results = []
     for k, model in enumerate(ranking.models, start=1):
         cols = sorted(ranking.order[:k])

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .features import magnitude_spectrum
 from .wavelet import packet_band, predict_informative_packets
 
 _NO_ROWS = "no chatter-labeled training samples for selection"
@@ -54,12 +55,11 @@ def select_packet(ratio_rows, band, level, sample_rate_hz):
 
 def in_band_fraction(imf, band, sample_rate_hz):
     """Share of the IMF's spectral energy inside `band` (0 for a zero IMF)."""
-    imf = np.asarray(imf, dtype=float)
-    spectrum = np.abs(np.fft.rfft(imf)) ** 2
+    freqs, mags = magnitude_spectrum(imf, sample_rate_hz)
+    spectrum = mags**2
     total = float(spectrum.sum())
     if total == 0.0:
         return 0.0
-    freqs = np.arange(spectrum.size) * sample_rate_hz / imf.size
     mask = (freqs >= band.low_hz) & (freqs <= band.high_hz)
     return float(spectrum[mask].sum()) / total
 

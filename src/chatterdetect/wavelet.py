@@ -40,37 +40,26 @@ class FrequencyBand:
         return self.low_hz < other.high_hz and self.high_hz > other.low_hz
 
 
-def daubechies_filters(n_vanishing_moments):
-    """Orthonormal Daubechies filter pair with the given vanishing moments.
+def db10_filters():
+    """The 20-tap orthonormal db10 pair.
 
     Spectral factorization: the binomial polynomial's roots are mapped to
     z-plane root pairs and the minimum-phase half is kept, together with
-    the required zeros at z = -1.
+    the ten zeros at z = -1.
     """
-    p = n_vanishing_moments
-    if p < 1:
-        raise DomainError("need at least one vanishing moment")
-    if p == 1:  # Haar
-        lo = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    else:
-        # P(y) = sum_k C(p-1+k, k) y^k, highest degree first for np.roots
-        poly = [comb(p - 1 + k, k) for k in range(p)]
-        yroots = np.roots(poly[::-1])
-        zroots = []
-        for y in yroots:
-            # y = (2 - z - 1/z)/4  =>  z^2 - (2 - 4y) z + 1 = 0
-            zpair = np.roots([1.0, -(2.0 - 4.0 * y), 1.0])
-            zroots.append(zpair[np.argmin(np.abs(zpair))])
-        roots = np.concatenate([np.full(p, -1.0 + 0j), np.asarray(zroots)])
-        lo = np.real(np.poly(roots))
-        lo = lo * (np.sqrt(2.0) / lo.sum())
+    p = 10
+    # P(y) = sum_k C(p-1+k, k) y^k, highest degree first for np.roots
+    poly = [comb(p - 1 + k, k) for k in range(p)]
+    zroots = []
+    for y in np.roots(poly[::-1]):
+        # y = (2 - z - 1/z)/4  =>  z^2 - (2 - 4y) z + 1 = 0
+        zpair = np.roots([1.0, -(2.0 - 4.0 * y), 1.0])
+        zroots.append(zpair[np.argmin(np.abs(zpair))])
+    roots = np.concatenate([np.full(p, -1.0 + 0j), np.asarray(zroots)])
+    lo = np.real(np.poly(roots))
+    lo = lo * (np.sqrt(2.0) / lo.sum())
     hi = (lo[::-1] * (-1.0) ** np.arange(lo.size)).copy()
     return WaveletFilters(lo, hi)
-
-
-def db10_filters():
-    """The 20-tap db10 pair."""
-    return daubechies_filters(10)
 
 
 @cache
@@ -199,14 +188,12 @@ def packet_band(level, packet_index, sample_rate_hz):
 
 
 def predict_informative_packets(band, level, sample_rate_hz):
-    """Packets whose band overlaps `band` with nonzero measure."""
-    nyquist = sample_rate_hz / 2
+    """Packets whose band overlaps `band` with nonzero measure.
+
+    The top packet ends exactly at the Nyquist frequency, so a band at or
+    above it overlaps none.
+    """
     if not (0 <= band.low_hz < band.high_hz):
         raise DomainError("band must satisfy 0 <= low < high")
-    chosen = set()
-    for j in range(1, 2**level + 1):
-        if packet_band(level, j, sample_rate_hz).overlaps(band):
-            chosen.add(j)
-    if band.low_hz >= nyquist:
-        return set()
-    return chosen
+    return {j for j in range(1, 2**level + 1)
+            if packet_band(level, j, sample_rate_hz).overlaps(band)}

@@ -315,6 +315,9 @@ class TestErrorContract:
         ("3", "ValidationError", "manifest must be"),
         ('[{"signal_path": "s.csv", "label_path": "l.csv", "stickout_id": "x",'
          ' "sample_rate_hz": "fast"}]', "ValidationError", "record 0"),
+        *[('[{"signal_path": "s.csv", "label_path": "l.csv", "stickout_id": "x",'
+           f' "sample_rate_hz": {rate}}}]', "ValidationError", "record 0: sample_rate_hz")
+          for rate in ("NaN", "Infinity", "0", "-5")],
     ])
     def test_bad_manifest_exit_1(self, tmp_path, capsys, text, error, fragment):
         manifest = tmp_path / "manifest.json"
@@ -328,6 +331,35 @@ class TestErrorContract:
         assert record["error"] == error
         assert fragment in record["message"]
         assert str(manifest) in record["message"]
+
+    @pytest.mark.parametrize("flag, rate", [
+        ("--target-rate", "nan"), ("--target-rate", "inf"), ("--target-rate", "0"),
+        ("--target-rate", "-5"), ("--sample-rate", "nan"), ("--sample-rate", "inf"),
+    ])
+    def test_non_finite_or_non_positive_rate_exit_1(self, tmp_path, capsys, flag, rate):
+        src = tmp_path / "raw.csv"
+        np.savetxt(src, np.arange(320.0), delimiter=",")
+        rates = {"--sample-rate": "160000", "--target-rate": "10000", flag: rate}
+        code, _, err = run(
+            capsys, "preprocess", "--input", str(src), *[t for kv in rates.items() for t in kv],
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "DomainError"
+        assert "must be finite and positive" in record["message"]
+
+    @pytest.mark.parametrize("level", ["-1", "0", "5"])
+    def test_bad_level_exit_1(self, corpus, capsys, tmp_path, level):
+        _, manifest = corpus
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--level", level, "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "DomainError"
+        assert f"level must lie in 1..4, got {level}" in record["message"]
 
     def test_train_without_label_column_exit_1(self, tmp_path, capsys):
         features = tmp_path / "features.csv"

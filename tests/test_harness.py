@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatterdetect import (
+    CuttingConfig,
     DomainError,
     EemdParams,
     ExperimentReport,
@@ -357,6 +359,63 @@ class TestRunTransferCombined:
         trains = [self.prepared("a", 0), self.prepared("b", 1)]
         with pytest.raises(ValidationError):
             run_transfer_combined(self.spec(), trains, [self.prepared("c", 2)])
+
+
+def report_sha256(report):
+    text = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenReports:
+    """Report digests on the synthetic corpus, in canonical JSON; they pin
+    preparation, selection, RFE and the trainers together."""
+
+    @pytest.mark.parametrize("level, digest", [
+        (3, "d841ad38f16e4c504ba3baf26831ea5499e5180e12b462a5117dc12e3373a977"),
+        (4, "87a66dcd40def4c2f06e4a1af256cd6af99abad4cdcde85324406a9fe287d0f7"),
+    ])
+    def test_wpt_within_svm(self, level, digest):
+        prepared = prepare_wpt_config(make_config(), make_segments(seed=0), level)
+        report = run_within(within_spec(classifier="svm", level=level), prepared)
+        assert report_sha256(report) == digest
+
+    def test_eemd_within_logistic(self, eemd_prepared):
+        report = run_within(within_spec(method="eemd", n_realizations=2), eemd_prepared)
+        assert report_sha256(report) == (
+            "8cb945bec2186c6973885c1e11efc27277d70bc92002681aa7d6d544cb364582")
+
+    def test_wpt_transfer_across_bands(self):
+        # the packet frozen on the 900-1000 Hz training band (packet 4 of 16)
+        # does not overlap the 2900-3000 Hz test band, yet the test side must
+        # carry its features: the test chatter sits at 950 Hz, so a correct
+        # run scores 1.0 on the test side
+        train = prepare_wpt_config(CuttingConfig("a", (900.0, 1000.0)),
+                                   make_segments(seed=0), 4)
+        test = prepare_wpt_config(CuttingConfig("b", (2900.0, 3000.0)),
+                                  make_segments(seed=10), 4)
+        spec = ExperimentSpec(
+            method="wpt", classifier="logistic", train_configs=("a",),
+            test_configs=("b",), mode="transfer", level=4, n_realizations=2,
+            split=(0.70, 0.70), master_seed=1,
+        )
+        report = run_transfer(spec, train, test)
+        assert report_sha256(report) == (
+            "f092ebdc4b52c84905a0855ee086802e711ff800228b68d8070d81c47cc77cd8")
+
+    def test_wpt_transfer_combined(self):
+        def prepared(stickout_id, seed):
+            segments = make_segments(seed=seed, n_stable=8, n_chatter=8)
+            return prepare_wpt_config(CuttingConfig(stickout_id, (900.0, 1000.0)), segments, 4)
+
+        spec = ExperimentSpec(
+            method="wpt", classifier="logistic", train_configs=("a", "b"),
+            test_configs=("c", "d"), mode="transfer-combined", level=4,
+            n_realizations=2, split=(0.70, 0.70), master_seed=2,
+        )
+        report = run_transfer_combined(spec, [prepared("a", 0), prepared("b", 1)],
+                                       [prepared("c", 2), prepared("d", 3)])
+        assert report_sha256(report) == (
+            "6d03f0f13023b429b297ba78a811b5bf5c438db316a5b702f709564dbc1b3cca")
 
 
 class TestManifestFlow:

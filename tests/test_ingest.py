@@ -295,6 +295,17 @@ class TestDesignLowpass:
         assert abs(rms_out - rms_in) / rms_in < 1e-3
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -5.0])
+def test_rate_must_be_finite_and_positive(tmp_path, rate):
+    match = "must be finite and positive"
+    with pytest.raises(ValidationError, match=match):
+        TimeSeries(np.ones(4), rate)
+    with pytest.raises(DomainError, match=match):
+        load_timeseries(write(tmp_path, "1.0\n2.0\n"), rate)
+    with pytest.raises(DomainError, match=match):
+        filter_and_downsample(TimeSeries(np.ones(4), 1000), design_lowpass(0, 100, 1000), rate)
+
+
 class TestFilterAndDownsample:
     def test_160k_to_10k(self):
         ts = TimeSeries(np.random.default_rng(0).standard_normal(1600), 160000)

@@ -568,6 +568,16 @@ class TestRfe:
                          float(np.mean(model.predict(Xt[:, cols]) == yt))])
         assert nested_feature_accuracies(X, y, Xt, yt, ranking) == want
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nested_accuracies_reject_non_finite_test_rows(self, bad):
+        # an unchecked NaN row fails every `>= 0` test and counts as class 0
+        X, y = self.planted(seed=2, d=3, informative=(0, 1))
+        ranking = rfe_rank(X, y, make_trainer("logistic"))
+        Xt = X.copy()
+        Xt[5, 1] = bad
+        with pytest.raises(ValidationError, match="row 5, column 1"):
+            nested_feature_accuracies(X, y, Xt, y, ranking)
+
     def test_nested_accuracies_need_the_step_models(self):
         X, y = blobs(d=2)
         with pytest.raises(DomainError, match="rfe_rank"):

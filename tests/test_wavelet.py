@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,13 @@ class TestDb10Filters:
     def test_deterministic(self):
         a, b = db10_filters(), db10_filters()
         assert np.array_equal(a.lowpass, b.lowpass)
+
+    def test_golden_bits(self):
+        # every report digest rests on these exact coefficients
+        f = db10_filters()
+        data = np.concatenate([f.lowpass, f.highpass]).astype("<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "35d4ab0b3a43694b94a58a5a2400bd875fb8df51da4eead74a57826836b31990")
 
 
 class TestDecompose:
