@@ -326,6 +326,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
+        if getattr(args, "seed", 0) < 0:  # numpy's seed sequences take no negative entropy
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         _COMMANDS[args.command](args)
     except ChatterDetectError as exc:
         sys.stderr.write(json.dumps(

@@ -205,6 +205,7 @@ def _natural_spline(t, v, sizes, n, out, work):
     (edges,) = work("spline index", np.intp, (knots,))
     tf[:] = t
     np.subtract(tf[1:], tf[:-1], out=dx)
+    dx[between] = 1.0  # never used, and 0 where two blocks share a knot position
     np.subtract(v[1:], v[:-1], out=slope)
     # the natural ends, as scipy writes them (zero second derivative):
     # -0.5 * 0.0 * dx**2 + 3 * dv at a block's start, 0.5 * 0.0 * dx**2 +

@@ -2,11 +2,11 @@
 learning between stickout cases, combined-training transfer, and report
 emission.
 
-Decomposition and feature extraction are precomputed once per sample (for
-every packet / IMF index), so each realization only re-draws the
-split, re-selects the informative component on its training side, and
-retrains.  Samples are keyed by stable ids, making reports invariant under
-manifest row order.
+Decomposition is done once per sample, and EEMD features for every IMF
+index; a WPT packet's features are computed the first time a selection reads
+them, then kept.  Each realization only re-draws the split, re-selects the
+informative component on its training side, and retrains.  Samples are keyed
+by stable ids, making reports invariant under manifest row order.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .features import (
 )
 from .ingest import (
     CuttingConfig,
+    TimeSeries,
     cut_segments,
     load_labels,
     load_timeseries,
@@ -90,12 +91,13 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class PreparedSample:
-    """One classification sample with all candidate features precomputed."""
+    """One classification sample with what selection and features need."""
 
     sample_id: tuple  # (file_id, interval index, window index)
     label: int
     group: tuple  # parent segment key, for grouped splits
-    # wpt: (2^level, 14) features per packet, plus the level's energy ratios
+    # wpt: the segment, its energy ratios, and (2^level, 14) packet features, NaN until read
+    series: TimeSeries | None = None
     packet_features: np.ndarray | None = None
     packet_energy_ratios: np.ndarray | None = None
     # eemd: (n_imfs, 7) features per IMF index, plus chatter-band fractions
@@ -131,13 +133,18 @@ class PreparedConfig:
 
     def feature_rows(self, indices, selection):
         """Feature matrix of the samples at `indices` for the selected
-        component."""
+        component; a WPT row is computed on its first read."""
         idx = selection["index"]
         rows = []
         for i in indices:
             s = self.samples[i]
             if self.method == "wpt":
-                rows.append(s.packet_features[idx - 1])
+                row = s.packet_features[idx - 1]
+                if np.isnan(row[0]):
+                    tree = wpt_decompose(s.series, self.level)
+                    row[:] = wpt_features(reconstruct_packet(tree, self.level, idx).samples,
+                                          self.sample_rate_hz)
+                rows.append(row)
             elif idx <= s.imf_features.shape[0]:
                 rows.append(s.imf_features[idx - 1])
             else:
@@ -148,27 +155,20 @@ class PreparedConfig:
 
 
 def prepare_wpt_config(config, segments, level):
-    """Decompose every labeled segment and featurize every packet."""
+    """Decompose every labeled segment for its packet energy ratios."""
     if not segments:
         raise ValidationError("no labeled segments to prepare")
     fs = segments[0].series.sample_rate_hz
     prepared = []
     for seg in segments:
-        tree = wpt_decompose(seg.series, level)
-        ratios = energy_ratios(tree, level)
-        feats = np.vstack(
-            [
-                wpt_features(reconstruct_packet(tree, level, j + 1).samples, fs)
-                for j in range(2**level)
-            ]
-        )
         prepared.append(
             PreparedSample(
                 sample_id=(seg.source[0], seg.source[1], 0),
                 label=seg.label,
                 group=seg.source,
-                packet_features=feats,
-                packet_energy_ratios=ratios,
+                series=seg.series,
+                packet_energy_ratios=energy_ratios(wpt_decompose(seg.series, level), level),
+                packet_features=np.full((2**level, len(WPT_FEATURE_NAMES)), np.nan),
             )
         )
     prepared.sort(key=lambda s: s.sample_id)

@@ -414,6 +414,29 @@ class TestErrorContract:
         assert record["error"] == "ValidationError"
         assert "one train and one test" in record["message"]
 
+    @pytest.mark.parametrize("command", ["decompose", "train", "evaluate-within"])
+    def test_negative_seed_exit_1(self, corpus, capsys, tmp_path, command):
+        _, manifest = corpus
+        signal = tmp_path / "sig.csv"
+        np.savetxt(signal, np.sin(np.arange(600) * 0.3), delimiter=",")
+        features = tmp_path / "features.csv"
+        features.write_text("x,label\n0.0,0\n1.0,1\n")
+        argv = {
+            "decompose": ["--input", str(signal), "--method", "eemd", "--ensemble-size", "2"],
+            "train": ["--features", str(features), "--classifier", "forest"],
+            "evaluate-within": ["--manifest", str(manifest), "--stickout", "synth",
+                                "--method", "wpt", "--level", "3", "--classifier", "logreg",
+                                "--realizations", "1"],
+        }[command]
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run(capsys, command, *argv, "--seed", "-1", "--out", str(out))
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert "--seed must be non-negative, got -1" in record["message"]
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_non_positive_realizations_exit_1(self, corpus, capsys, tmp_path, count):
         _, manifest = corpus

@@ -3,7 +3,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
@@ -322,6 +322,9 @@ class TestEnvelopeMean:
     @given(st.lists(st.lists(st.tuples(st.integers(1, 9), st.floats(-1e3, 1e3)),
                              min_size=4, max_size=12), min_size=1, max_size=6),
            st.integers(1, 40), st.integers(-20, 5))
+    # the first block's last knot and the second's first both sit at 4
+    @example([[(1, 0.0), (1, 2.0), (1, -1.0), (1, 0.5)],
+              [(4, 3.0), (1, 0.0), (2, 1.0), (1, 0.0)]], 10, 0)
     def test_blocks_match_scipy_one_by_one(self, blocks, n, offset):
         # one block-diagonal solve gives each block scipy's bits
         t = np.concatenate([offset + np.cumsum([g for g, _ in b]) for b in blocks])

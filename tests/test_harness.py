@@ -24,9 +24,12 @@ from chatterdetect import (
     prepare_eemd_config,
     prepare_from_manifest,
     prepare_wpt_config,
+    reconstruct_packet,
     run_transfer,
     run_transfer_combined,
     run_within,
+    wpt_decompose,
+    wpt_features,
 )
 from chatterdetect import harness
 from chatterdetect.harness import _draw_split
@@ -144,6 +147,41 @@ class TestPreparation:
         segs = make_segments(seed=1, n_stable=1, n_chatter=1, seg_len=500)
         with pytest.raises(ValidationError):
             prepare_eemd_config(make_config(), segs, window_len=1000)
+
+
+class TestLazyPacketFeatures:
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_rows_match_eager_featurization(self, level):
+        segments = make_segments(seed=0)
+        prepared = prepare_wpt_config(make_config(), segments, level)
+        series = {(*seg.source, 0): seg.series for seg in segments}
+        everything = range(len(prepared.samples))
+        for j in range(1, 2**level + 1):
+            eager = np.vstack([
+                wpt_features(
+                    reconstruct_packet(wpt_decompose(series[s.sample_id], level), level, j).samples,
+                    FS)
+                for s in prepared.samples
+            ])
+            assert np.array_equal(prepared.feature_rows(everything, {"index": j}), eager)
+            assert np.array_equal(prepared.feature_rows(everything, {"index": j}), eager)
+        assert not np.isnan(np.stack([s.packet_features for s in prepared.samples])).any()
+
+    def test_each_row_is_featurized_at_most_once(self, monkeypatch):
+        calls = []
+
+        def counting(x, sample_rate_hz):
+            calls.append(x.size)
+            return wpt_features(x, sample_rate_hz)
+
+        monkeypatch.setattr(harness, "wpt_features", counting)
+        prepared = prepare_wpt_config(make_config(), make_segments(seed=0), 3)
+        assert calls == []
+        assert all(np.isnan(s.packet_features).all() for s in prepared.samples)
+        for seed in (0, 1, 0):
+            run_within(within_spec(n_realizations=3, master_seed=seed), prepared)
+        filled = sum(int((~np.isnan(s.packet_features[:, 0])).sum()) for s in prepared.samples)
+        assert 0 < len(calls) == filled <= len(prepared.samples) * 2**3
 
 
 @st.composite
