@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +227,12 @@ def _cmd_features(args):
 
 
 def _cmd_train(args):
-    table = np.genfromtxt(args.features, delimiter=",", names=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # an empty file warns, then fails
+        try:
+            table = np.genfromtxt(args.features, delimiter=",", names=True)
+        except (UserWarning, ValueError) as exc:  # empty, or rows of unequal length
+            raise ValidationError(f"{args.features}: not a feature table: {exc}") from None
     names = list(table.dtype.names or ())
     if "label" not in names:
         raise ValidationError(

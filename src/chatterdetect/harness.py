@@ -3,8 +3,9 @@ learning between stickout cases, combined-training transfer, and report
 emission.
 
 Decomposition is done once per sample, and EEMD features for every IMF
-index; a WPT packet's features are computed the first time a selection reads
-them, then kept.  Each realization only re-draws the split, re-selects the
+index.  A WPT sample keeps the deepest level of its packet tree; a packet's
+features are reconstructed from it the first time a selection reads them,
+then kept.  Each realization only re-draws the split, re-selects the
 informative component on its training side, and retrains.  Samples are keyed
 by stable ids, making reports invariant under manifest row order.
 """
@@ -27,7 +28,6 @@ from .features import (
 )
 from .ingest import (
     CuttingConfig,
-    TimeSeries,
     cut_segments,
     load_labels,
     load_timeseries,
@@ -35,7 +35,7 @@ from .ingest import (
 )
 from .ml import make_trainer, nested_feature_accuracies, rfe_rank
 from .select import in_band_fraction, select_imf, select_packet
-from .wavelet import FrequencyBand, energy_ratios, reconstruct_packet, wpt_decompose
+from .wavelet import FrequencyBand, PacketTree, energy_ratios, reconstruct_packet, wpt_decompose
 
 WITHIN_SPLIT = (0.67, 0.33)
 TRANSFER_SPLIT = (0.70, 0.70)
@@ -96,8 +96,9 @@ class PreparedSample:
     sample_id: tuple  # (file_id, interval index, window index)
     label: int
     group: tuple  # parent segment key, for grouped splits
-    # wpt: the segment, its energy ratios, and (2^level, 14) packet features, NaN until read
-    series: TimeSeries | None = None
+    # wpt: the leaves of the segment's packet tree, their energy ratios, and
+    # (2^level, 14) packet features, NaN until read
+    tree: PacketTree | None = None
     packet_features: np.ndarray | None = None
     packet_energy_ratios: np.ndarray | None = None
     # eemd: (n_imfs, 7) features per IMF index, plus chatter-band fractions
@@ -141,8 +142,7 @@ class PreparedConfig:
             if self.method == "wpt":
                 row = s.packet_features[idx - 1]
                 if np.isnan(row[0]):
-                    tree = wpt_decompose(s.series, self.level)
-                    row[:] = wpt_features(reconstruct_packet(tree, self.level, idx).samples,
+                    row[:] = wpt_features(reconstruct_packet(s.tree, self.level, idx).samples,
                                           self.sample_rate_hz)
                 rows.append(row)
             elif idx <= s.imf_features.shape[0]:
@@ -155,19 +155,21 @@ class PreparedConfig:
 
 
 def prepare_wpt_config(config, segments, level):
-    """Decompose every labeled segment for its packet energy ratios."""
+    """Decompose every labeled segment once, keeping its leaves and their
+    energy ratios."""
     if not segments:
         raise ValidationError("no labeled segments to prepare")
     fs = segments[0].series.sample_rate_hz
     prepared = []
     for seg in segments:
+        tree = wpt_decompose(seg.series, level).leaves()
         prepared.append(
             PreparedSample(
                 sample_id=(seg.source[0], seg.source[1], 0),
                 label=seg.label,
                 group=seg.source,
-                series=seg.series,
-                packet_energy_ratios=energy_ratios(wpt_decompose(seg.series, level), level),
+                tree=tree,
+                packet_energy_ratios=energy_ratios(tree, level),
                 packet_features=np.full((2**level, len(WPT_FEATURE_NAMES)), np.nan),
             )
         )

@@ -12,7 +12,7 @@ Gray-code permutation of the filter-bank order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from math import comb
 
@@ -74,49 +74,49 @@ def _gray(b):
     return b ^ (b >> 1)
 
 
-def _wrap_tail(x, count):
-    """First `count` samples of the periodic extension of x."""
-    reps = int(np.ceil(count / x.size))
-    return np.tile(x, reps)[:count]
-
-
 def _analysis_step(x, taps):
     """Periodic correlate-and-downsample; len(x) must be even."""
-    wrapped = np.concatenate([x, _wrap_tail(x, taps.size - 1)])
+    wrapped = x[np.arange(x.size + taps.size - 1) % x.size]
     return np.correlate(wrapped, taps, mode="valid")[0::2]
 
 
-def _synthesis_step(coeffs, taps, parent_len):
+def _synthesis_step(coeffs, taps):
     """Transpose of the analysis step: upsample and circularly convolve."""
-    up = np.zeros(parent_len)
+    up = np.zeros(2 * coeffs.size)
     up[0::2] = coeffs
-    head = _wrap_tail(up[::-1], taps.size - 1)[::-1]
-    wrapped = np.concatenate([head, up])
+    wrapped = up[np.arange(1 - taps.size, up.size) % up.size]
     return np.convolve(wrapped, taps, mode="valid")
 
 
 @dataclass(frozen=True)
 class PacketTree:
-    """Full wavelet-packet tree; packets frequency-ordered and 1-based."""
+    """Wavelet-packet tree; packets frequency-ordered and 1-based."""
 
-    level: int
     sample_rate_hz: float
     original_length: int
-    padded_length: int
-    # _nodes[(k, b)] holds the coefficients of natural-order node b at level k
-    _nodes: dict = field(repr=False)
+    # levels[k] is a (2^k, padded / 2^k) array; row b is natural-order node b
+    levels: dict = field(repr=False)
+
+    @property
+    def level(self):
+        return max(self.levels)
+
+    def leaves(self):
+        """The same tree holding only its deepest level, which is all that
+        `reconstruct_packet` and `energy_ratios` read at that level."""
+        return replace(self, levels={self.level: self.levels[self.level]})
 
     def packet(self, level, packet_index):
         """Coefficients of the packet at `packet_index` (frequency order)."""
         self._check(level, packet_index)
-        return self._nodes[(level, _gray(packet_index - 1))]
+        return self.levels[level][_gray(packet_index - 1)]
 
     def packets(self, level):
         return [self.packet(level, j + 1) for j in range(2**level)]
 
     def _check(self, level, packet_index):
-        if not 1 <= level <= self.level:
-            raise DomainError(f"level {level} outside 1..{self.level}")
+        if level not in self.levels:
+            raise DomainError(f"level {level} not held; the tree holds {sorted(self.levels)}")
         if not 1 <= packet_index <= 2**level:
             raise DomainError(
                 f"packet index {packet_index} outside 1..{2**level} at level {level}"
@@ -127,40 +127,31 @@ def wpt_decompose(ts, level):
     """Full db10 wavelet-packet decomposition of a time series up to `level`."""
     if not 1 <= level <= MAX_LEVEL:
         raise DomainError(f"level must lie in 1..{MAX_LEVEL}, got {level}")
-    x = np.asarray(ts.samples, dtype=float)
-    n = x.size
+    n = ts.samples.size
     if n < 2**level:
         raise DomainError(f"series of length {n} too short for level {level}")
     filters = _db10()
     block = 2**level
-    padded = int(np.ceil(n / block)) * block
-    if padded > n:
-        x = np.concatenate([x, np.zeros(padded - n)])
-    nodes = {(0, 0): x}
-    for k in range(level):
-        for b in range(2**k):
-            parent = nodes[(k, b)]
-            nodes[(k + 1, 2 * b)] = _analysis_step(parent, filters.lowpass)
-            nodes[(k + 1, 2 * b + 1)] = _analysis_step(parent, filters.highpass)
-    return PacketTree(
-        level=level,
-        sample_rate_hz=ts.sample_rate_hz,
-        original_length=n,
-        padded_length=padded,
-        _nodes=nodes,
-    )
+    # level 0: the input zero-padded to a multiple of 2^level, as one row
+    node = np.zeros((1, int(np.ceil(n / block)) * block))
+    node[0, :n] = ts.samples
+    levels = {}
+    for k in range(1, level + 1):
+        node = np.stack([_analysis_step(parent, taps) for parent in node
+                         for taps in (filters.lowpass, filters.highpass)])
+        levels[k] = node
+    return PacketTree(ts.sample_rate_hz, n, levels)
 
 
 def reconstruct_packet(tree, level, packet_index):
     """Time-domain signal carrying only the selected packet's content."""
     tree._check(level, packet_index)
     b = _gray(packet_index - 1)
-    coeffs = tree._nodes[(level, b)]
+    coeffs = tree.levels[level][b]
     filters = _db10()
-    for k in range(level, 0, -1):
-        parent_len = tree.padded_length // 2 ** (k - 1)
+    for _ in range(level):
         taps = filters.highpass if b & 1 else filters.lowpass
-        coeffs = _synthesis_step(coeffs, taps, parent_len)
+        coeffs = _synthesis_step(coeffs, taps)
         b >>= 1
     return TimeSeries(coeffs[: tree.original_length], tree.sample_rate_hz)
 

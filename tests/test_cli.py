@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -114,6 +115,18 @@ class TestPreprocess:
 
 
 class TestDecompose:
+    def test_wpt_dump_bytes(self, tmp_path, capsys):
+        src = tmp_path / "sig.csv"
+        np.savetxt(src, np.sin(np.arange(1001) * 0.3), delimiter=",")
+        code, out, _ = run(
+            capsys, "decompose", "--input", str(src), "--method", "wpt",
+            "--level", "4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        data = Path(json.loads(out)["output"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "222d0e68eb381301e7a4b4df70a5e24ebc2c82595daa69216ff23d0af153b343")
+
     def test_wpt_dump(self, tmp_path, capsys):
         src = tmp_path / "sig.csv"
         np.savetxt(src, np.sin(np.arange(512) * 0.3), delimiter=",")
@@ -384,6 +397,20 @@ class TestErrorContract:
         record = error_record(err)
         assert record["error"] == "ValidationError"
         assert "feature column" in record["message"] and str(features) in record["message"]
+
+    @pytest.mark.parametrize("text, fragment", [("", "Empty input file"),
+                                                ("a,b,label\n1,2,0\n3,4\n5,6,1\n", "Line #3")])
+    def test_train_empty_or_ragged_features_exit_1(self, tmp_path, capsys, text, fragment):
+        features = tmp_path / "features.csv"
+        features.write_text(text)
+        code, _, err = run(
+            capsys, "train", "--features", str(features), "--classifier", "svm",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert fragment in record["message"] and str(features) in record["message"]
 
     @pytest.mark.parametrize("label", ["1.5", "2", "-1", "nan"])
     def test_train_label_not_zero_or_one_exit_1(self, tmp_path, capsys, label):

@@ -183,6 +183,33 @@ class TestLazyPacketFeatures:
         filled = sum(int((~np.isnan(s.packet_features[:, 0])).sum()) for s in prepared.samples)
         assert 0 < len(calls) == filled <= len(prepared.samples) * 2**3
 
+    def test_each_segment_is_decomposed_once(self, monkeypatch):
+        calls = []
+
+        def counting(ts, level):
+            calls.append(ts.samples.size)
+            return wpt_decompose(ts, level)
+
+        monkeypatch.setattr(harness, "wpt_decompose", counting)
+        segments = make_segments(seed=0)
+        within = prepare_wpt_config(make_config(), segments, 3)
+        combined = [
+            prepare_wpt_config(CuttingConfig(name, (900.0, 1000.0)),
+                               make_segments(seed=seed, n_stable=8, n_chatter=8), 3)
+            for seed, name in enumerate("abcd")
+        ]
+        assert len(calls) == len(segments) + 4 * 16
+        assert calls[: len(segments)] == [seg.series.samples.size for seg in segments]
+        calls.clear()
+        run_within(within_spec(), within)
+        run_transfer_combined(
+            ExperimentSpec("wpt", "logistic", ("a", "b"), ("c", "d"), mode="transfer-combined",
+                           level=3, n_realizations=2, split=(0.70, 0.70)),
+            combined[:2], combined[2:])
+        assert calls == []
+        for prep in [within, *combined]:  # the runs did read rows, from the kept leaves
+            assert not np.isnan(np.stack([s.packet_features for s in prep.samples])).all()
+
 
 @st.composite
 def labeled_groups(draw):

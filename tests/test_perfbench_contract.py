@@ -71,5 +71,6 @@ def test_traced_wpt_run_counts_the_rows_it_reads(monkeypatch):
     used = run.used_feature_rows(tracer.prepared, report)
     assert used == len(prepared.samples) * len(picks)
     snap = tracer.snapshot()
+    assert snap["wavelet.wpt_decompose.calls"] == len(prepared.samples)
     assert snap["features.wpt_features.calls"] == snap["wavelet.reconstruct_packet.calls"]
     assert 0 < snap["features.wpt_features.calls"] <= used

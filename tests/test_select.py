@@ -61,15 +61,10 @@ class TestSelectInformativePacket:
         assert choice["mean_energy_ratio"] == choice["candidates"]["2"]
 
     def test_scale_invariant(self):
-        trees = chatter_trees(4, n=2)
-        scaled = [
-            wpt_decompose(
-                TimeSeries(3.0 * t._nodes[(0, 0)][: t.original_length],
-                           t.sample_rate_hz),
-                4,
-            )
-            for t in trees
-        ]
+        segments = make_segments(seed=0, n_stable=0, n_chatter=2, chatter_hz=950.0)
+        trees = [wpt_decompose(s.series, 4) for s in segments]
+        scaled = [wpt_decompose(TimeSeries(3.0 * s.series.samples, s.series.sample_rate_hz), 4)
+                  for s in segments]
         assert packet_choice(trees, 4)["index"] == packet_choice(scaled, 4)["index"]
 
     def test_deterministic(self):

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatterdetect import (
     DomainError,
@@ -119,6 +121,29 @@ class TestReconstruction:
         tr = wpt_decompose(tone(100), 2)
         with pytest.raises(DomainError):
             reconstruct_packet(tr, 2, 5)
+
+
+class TestLeaves:
+    def test_one_array_per_level(self):
+        tree = wpt_decompose(tone(100, n=1001), 4)
+        assert tree.level == 4 and sorted(tree.levels) == [1, 2, 3, 4]
+        for k, rows in tree.levels.items():
+            assert rows.shape == (2**k, 1008 // 2**k)  # 1001 padded to a multiple of 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(16, 3000), level=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_leaves_read_like_the_full_tree(self, n, level, seed):
+        x = np.random.default_rng(seed).standard_normal(n)
+        tree = wpt_decompose(TimeSeries(x, FS), level)
+        leaves = tree.leaves()
+        assert leaves.level == level and leaves.original_length == n
+        for j in range(1, 2**level + 1):
+            assert (reconstruct_packet(leaves, level, j).samples.tobytes()
+                    == reconstruct_packet(tree, level, j).samples.tobytes())
+        assert energy_ratios(leaves, level).tobytes() == energy_ratios(tree, level).tobytes()
+        for k in range(1, level):
+            with pytest.raises(DomainError):
+                leaves.packet(k, 1)
 
 
 class TestEnergyRatios:
