@@ -11,7 +11,6 @@ from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import DomainError, ParseError, ValidationError
 
@@ -130,7 +129,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class FilterCascade:
-    """Chain of second-order recursive sections; empty cascade is the identity."""
+    """Chain of second-order recursive sections; empty cascade is the identity.
+
+    scipy.signal is imported by the methods that filter, not by this module,
+    so that commands which never filter do not pay for loading it.
+    """
 
     sos: np.ndarray  # shape (n_sections, 6)
 
@@ -142,14 +145,18 @@ class FilterCascade:
         x = np.asarray(x, dtype=float)
         if self.n_sections == 0:
             return x.copy()
-        return sps.sosfilt(self.sos, x)
+        from scipy.signal import sosfilt
+
+        return sosfilt(self.sos, x)
 
     def response(self, freqs_hz, sample_rate_hz):
         """Complex frequency response at the given frequencies."""
         freqs_hz = np.atleast_1d(freqs_hz)
         if self.n_sections == 0:
             return np.ones_like(freqs_hz, dtype=complex)
-        _, h = sps.sosfreqz(self.sos, worN=freqs_hz, fs=sample_rate_hz)
+        from scipy.signal import sosfreqz
+
+        _, h = sosfreqz(self.sos, worN=freqs_hz, fs=sample_rate_hz)
         return h
 
 
@@ -405,6 +412,9 @@ def design_lowpass(order, cutoff_hz, sample_rate_hz):
 
     Order 0 is accepted and yields the identity cascade.  A direct-form
     realization of high orders is numerically unusable, hence the cascade.
+    Even so, the design breaks down at high orders and at cutoffs very low or
+    near Nyquist: a design that fails, or has a non-finite coefficient or a
+    DC gain off 1 by more than 1e-6, is a DomainError.
     """
     if order < 0 or order % 2 != 0:
         raise DomainError(f"filter order must be a nonnegative even integer, got {order}")
@@ -414,7 +424,23 @@ def design_lowpass(order, cutoff_hz, sample_rate_hz):
         raise DomainError(
             f"cutoff {cutoff_hz} Hz must lie in (0, {sample_rate_hz / 2}) Hz"
         )
-    sos = sps.butter(order, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos")
+    from scipy.signal import butter
+
+    degenerate = DomainError(
+        f"order-{order} low-pass at {cutoff_hz:g} Hz for {sample_rate_hz:g} Hz "
+        "sampling is numerically degenerate; lower the order or move the cutoff"
+    )
+    # butter raises ValueError when the normalized cutoff underflows to 0 and
+    # OverflowError when its analog prototype's gain overflows near Nyquist;
+    # its other breakdowns return broken sections, with floating-point warnings
+    with np.errstate(all="ignore"):
+        try:
+            sos = butter(order, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos")
+        except (ValueError, OverflowError):
+            raise degenerate from None
+        dc_gain = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
+    if not (np.isfinite(sos).all() and abs(dc_gain - 1) <= 1e-6):
+        raise degenerate
     return FilterCascade(sos)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,24 @@ class TestPreprocess:
         record = error_record(err)
         assert record["error"] == "DomainError"
         for fragment in (str(src), "2 samples", "factor 16"):
+            assert fragment in record["message"]
+
+    @pytest.mark.parametrize("order", ["2000", "400", "300"])
+    def test_degenerate_filter_exit_1(self, tmp_path, capsys, order):
+        src = tmp_path / "raw.csv"
+        np.savetxt(src, np.random.default_rng(0).standard_normal(16000), delimiter=",")
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(
+                capsys, "preprocess", "--input", str(src), "--sample-rate", "160000",
+                "--target-rate", "10000", "--cutoff", "4500", "--filter-order", order,
+                "--out", str(out),
+            )
+        assert (code, stdout, out.exists()) == (1, "", False)
+        record = error_record(err)
+        assert record["error"] == "DomainError"
+        for fragment in (f"order-{order}", "4500 Hz", "160000 Hz"):
             assert fragment in record["message"]
 
 

@@ -1,11 +1,15 @@
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chatterdetect
 from chatterdetect import (
     DomainError,
     Label,
@@ -293,6 +297,52 @@ class TestDesignLowpass:
         rms_in = np.sqrt(np.mean(tone[t.size // 4 :] ** 2))
         rms_out = np.sqrt(np.mean(steady**2))
         assert abs(rms_out - rms_in) / rms_in < 1e-3
+
+    @pytest.mark.parametrize("order, cutoff, rate", [
+        (2000, 4500, 160000),  # non-finite sections
+        (400, 4500, 160000),   # DC gain 0
+        (300, 4500, 160000),   # DC gain 1.33
+        (100, 20, 160000),     # DC gain 0
+        (56, 87176, 174353),   # the analog prototype's gain overflows
+        (2, 5e-324, 4),        # the normalized cutoff underflows to 0
+    ])
+    def test_degenerate_design_rejected(self, order, cutoff, rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="numerically degenerate") as info:
+                design_lowpass(order, cutoff, rate)
+        for fragment in (f"order-{order}", f"{cutoff:g} Hz", f"{rate:g} Hz"):
+            assert fragment in str(info.value)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_design_is_sound_or_rejected(self, data):
+        order = data.draw(st.integers(1, 100)) * 2
+        rate = data.draw(st.floats(1.0, 1e6))
+        cutoff = data.draw(st.floats(0, rate / 2, exclude_min=True, exclude_max=True))
+        try:
+            filt = design_lowpass(order, cutoff, rate)
+        except DomainError:
+            return
+        sos = filt.sos
+        assert np.isfinite(sos).all()
+        dc_gain = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
+        assert abs(dc_gain - 1) <= 1e-6
+
+
+def test_scipy_signal_loads_only_to_filter():
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import chatterdetect, chatterdetect.cli\n"
+        "before = 'scipy.signal' in sys.modules\n"
+        "chatterdetect.design_lowpass(2, 100, 1000).apply([1.0, 2.0, 3.0])\n"
+        "print(before, 'scipy.signal' in sys.modules)\n"
+    )
+    src = Path(chatterdetect.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -5.0])
