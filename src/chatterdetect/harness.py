@@ -39,6 +39,7 @@ from .wavelet import FrequencyBand, PacketTree, energy_ratios, reconstruct_packe
 
 WITHIN_SPLIT = (0.67, 0.33)
 TRANSFER_SPLIT = (0.70, 0.70)
+MAX_SPLIT_ATTEMPTS = 100
 FEATURE_NAMES = {"wpt": WPT_FEATURE_NAMES, "eemd": EEMD_FEATURE_NAMES}
 
 
@@ -95,7 +96,6 @@ class PreparedSample:
 
     sample_id: tuple  # (file_id, interval index, window index)
     label: int
-    group: tuple  # parent segment key, for grouped splits
     # wpt: the leaves of the segment's packet tree, their energy ratios, and
     # (2^level, 14) packet features, NaN until read
     tree: PacketTree | None = None
@@ -104,6 +104,11 @@ class PreparedSample:
     # eemd: (n_imfs, 7) features per IMF index, plus chatter-band fractions
     imf_features: np.ndarray | None = None
     imf_band_fractions: np.ndarray | None = None
+
+    @property
+    def group(self):
+        """Parent segment key (file_id, interval index), for grouped splits."""
+        return self.sample_id[:2]
 
 
 @dataclass(frozen=True)
@@ -154,12 +159,25 @@ class PreparedConfig:
         return np.vstack(rows)
 
 
+def _sample_rate(segments):
+    """The sample rate every segment shares; bands and features assume one."""
+    fs = segments[0].series.sample_rate_hz
+    for seg in segments:
+        if seg.series.sample_rate_hz != fs:
+            raise ValidationError(
+                f"file {seg.source[0]!r} is sampled at {seg.series.sample_rate_hz} Hz, "
+                f"but file {segments[0].source[0]!r} at {fs} Hz; a stickout's "
+                "recordings must share one sample rate"
+            )
+    return fs
+
+
 def prepare_wpt_config(config, segments, level):
     """Decompose every labeled segment once, keeping its leaves and their
     energy ratios."""
     if not segments:
         raise ValidationError("no labeled segments to prepare")
-    fs = segments[0].series.sample_rate_hz
+    fs = _sample_rate(segments)
     prepared = []
     for seg in segments:
         tree = wpt_decompose(seg.series, level).leaves()
@@ -167,7 +185,6 @@ def prepare_wpt_config(config, segments, level):
             PreparedSample(
                 sample_id=(seg.source[0], seg.source[1], 0),
                 label=seg.label,
-                group=seg.source,
                 tree=tree,
                 packet_energy_ratios=energy_ratios(tree, level),
                 packet_features=np.full((2**level, len(WPT_FEATURE_NAMES)), np.nan),
@@ -185,7 +202,7 @@ def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
     windows = window_segments(segments, window_len)
     if not windows:
         raise ValidationError("no windows to prepare; segments shorter than window_len")
-    fs = windows[0].series.sample_rate_hz
+    fs = _sample_rate(windows)
     band = FrequencyBand(*config.chatter_band_hz)
     decomposed = eemd(np.stack([win.series.samples for win in windows]), eemd_params)
     counters = {}
@@ -201,7 +218,6 @@ def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
             PreparedSample(
                 sample_id=(win.source[0], win.source[1], w_idx),
                 label=win.label,
-                group=win.source,
                 imf_features=feats,
                 imf_band_fractions=fractions,
             )
@@ -210,18 +226,18 @@ def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
     return PreparedConfig(config, "eemd", fs, 0, window_len, prepared)
 
 
-def segments_from_manifest(manifest, stickout_id, mild_as_chatter=True):
-    """Load and cut every labeled segment of one stickout configuration."""
+def segments_from_manifest(manifest, stickout_id):
+    """Load and cut every labeled segment of one stickout; mild counts as chatter."""
     segments = []
     for rec in manifest.records:
         if rec.stickout_id != stickout_id:
             continue
         ts = load_timeseries(rec.signal_path, rec.sample_rate_hz)
         labels = load_labels(rec.label_path)
-        segments.extend(
-            cut_segments(ts, labels, mild_as_chatter=mild_as_chatter,
-                         file_id=rec.file_id)
-        )
+        try:
+            segments.extend(cut_segments(ts, labels, file_id=rec.file_id))
+        except ValidationError as exc:
+            raise ValidationError(f"{rec.label_path}: {exc}") from None
     if not segments:
         raise ValidationError(f"manifest holds no data for stickout {stickout_id!r}")
     return segments
@@ -270,9 +286,8 @@ def _stratified_split(labels, fraction, rng, groups=None):
     return np.asarray(sorted(part), dtype=int), np.asarray(sorted(rest), dtype=int)
 
 
-def _draw_split(labels, fraction, rng, groups=None, need_complement=True,
-                max_attempts=100):
-    for _ in range(max_attempts):
+def _draw_split(labels, fraction, rng, groups=None, need_complement=True):
+    for _ in range(MAX_SPLIT_ATTEMPTS):
         part, rest = _stratified_split(labels, fraction, rng, groups)
         ok = part.size > 0 and np.unique(labels[part]).size == 2
         if need_complement:
@@ -281,7 +296,7 @@ def _draw_split(labels, fraction, rng, groups=None, need_complement=True,
             return part, rest
     raise DomainError(
         "could not draw a split with both classes on each side "
-        f"after {max_attempts} attempts"
+        f"after {MAX_SPLIT_ATTEMPTS} attempts"
     )
 
 
@@ -376,6 +391,23 @@ def _realize(spec, draw):
     return _aggregate(spec, FEATURE_NAMES[spec.method], logs)
 
 
+def _check_prepared(spec, trains, tests):
+    """Reject prepared configs that the spec does not describe: a report
+    carries the spec's method, level, window length and configs."""
+    for prep in (*trains, *tests):
+        for name in ("method", "level" if spec.method == "wpt" else "window_len"):
+            have, want = getattr(prep, name), getattr(spec, name)
+            if have != want:
+                raise ValidationError(f"stickout {prep.config.stickout_id!r} was prepared "
+                                      f"with {name} {have!r}, but the spec has {want!r}")
+    for side, want, preps in (("train", spec.train_configs, trains),
+                              ("test", spec.test_configs, tests)):
+        got = [p.config.stickout_id for p in preps]
+        if got != list(want):
+            raise ValidationError(
+                f"prepared {side} configs {got} differ from the spec's {list(want)}")
+
+
 def _groups(spec, prepared):
     """Per-sample split groups under a grouped split, else None."""
     return [s.group for s in prepared.samples] if spec.grouped_split else None
@@ -392,6 +424,7 @@ def run_within(spec, prepared):
     """Repeated stratified split-train-test on a single configuration."""
     if spec.mode != "within":
         raise ValidationError("spec is not in within mode")
+    _check_prepared(spec, [prepared], [prepared])
     labels = prepared.labels
     groups = _groups(spec, prepared)
 
@@ -413,6 +446,7 @@ def run_transfer(spec, prepared_train, prepared_test):
     """
     if spec.mode != "transfer":
         raise ValidationError("spec is not in transfer mode")
+    _check_prepared(spec, [prepared_train], [prepared_test])
 
     def draw(r):
         rng = np.random.default_rng([spec.master_seed, r])
@@ -434,8 +468,7 @@ def run_transfer_combined(spec, prepared_trains, prepared_tests):
     """
     if spec.mode != "transfer-combined":
         raise ValidationError("spec is not in transfer-combined mode")
-    if len(prepared_trains) != 2 or len(prepared_tests) != 2:
-        raise ValidationError("combined mode takes two train and two test datasets")
+    _check_prepared(spec, prepared_trains, prepared_tests)
 
     def draw(r):
         sides, selections = [], {}

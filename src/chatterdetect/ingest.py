@@ -106,16 +106,14 @@ STICKOUT_BANDS = {
 }
 
 
-def config_for_stickout(stickout_id, chatter_band_hz=None):
-    """Build a CuttingConfig, defaulting the band from the stickout table."""
-    if chatter_band_hz is None:
-        if stickout_id not in STICKOUT_BANDS:
-            raise ValidationError(
-                f"no built-in chatter band for stickout {stickout_id!r}; "
-                "supply chatter_band_hz"
-            )
-        chatter_band_hz = STICKOUT_BANDS[stickout_id]
-    return CuttingConfig(stickout_id, tuple(chatter_band_hz))
+def config_for_stickout(stickout_id):
+    """Build a CuttingConfig with the band from the stickout table."""
+    if stickout_id not in STICKOUT_BANDS:
+        raise ValidationError(
+            f"no built-in chatter band for stickout {stickout_id!r}; give it a "
+            "chatter_band_hz in the manifest's configs map"
+        )
+    return CuttingConfig(stickout_id, STICKOUT_BANDS[stickout_id])
 
 
 @dataclass(frozen=True)
@@ -329,8 +327,6 @@ class ManifestRecord:
     signal_path: str
     label_path: str
     stickout_id: str
-    rpm: float | None = None
-    doc: float | None = None
     sample_rate_hz: float = 10000.0
     file_id: str = ""
 
@@ -382,8 +378,6 @@ def load_manifest(path):
                     signal_path=signal_path,
                     label_path=label_path,
                     stickout_id=str(rec["stickout_id"]),
-                    rpm=rec.get("rpm"),
-                    doc=rec.get("doc"),
                     sample_rate_hz=rate,
                     file_id=str(rec.get("file_id", f"rec{i:04d}")),
                 )

@@ -130,10 +130,10 @@ def _sigmoid(z):
     return out
 
 
-def train_svm(X, y, C=1.0, tol=1e-4, max_passes=20000, standardize=True):
+def train_svm(X, y, tol=1e-4, max_passes=20000, standardize=True):
     """Soft-margin linear SVM via dual coordinate descent.
 
-    Minimizes 0.5*||w||^2 + C * sum of hinge losses.  The bias is carried as
+    Minimizes 0.5*||w||^2 + sum of hinge losses (C = 1).  The bias is carried as
     an augmented constant feature, and the solver runs until the duality gap
     drops below tol (relative to max(1, primal)).
     """
@@ -154,14 +154,14 @@ def train_svm(X, y, C=1.0, tol=1e-4, max_passes=20000, standardize=True):
             if q[i] == 0.0:
                 continue
             g = s[i] * (A[i] @ w) - 1.0
-            a_new = min(max(alpha[i] - g / q[i], 0.0), C)
+            a_new = min(max(alpha[i] - g / q[i], 0.0), 1.0)
             delta = a_new - alpha[i]
             if delta != 0.0:
                 w += delta * s[i] * A[i]
                 alpha[i] = a_new
         margins = s * (A @ w)
         hinge = np.maximum(0.0, 1.0 - margins)
-        primal = 0.5 * (w @ w) + C * hinge.sum()
+        primal = 0.5 * (w @ w) + hinge.sum()
         dual = alpha.sum() - 0.5 * (w @ w)
         gap = primal - dual
         converged = bool(gap <= tol * max(1.0, abs(primal)))
@@ -174,11 +174,11 @@ def train_svm(X, y, C=1.0, tol=1e-4, max_passes=20000, standardize=True):
     )
 
 
-def train_logistic(X, y, l2=1e-4, tol=1e-6, max_iter=10000, standardize=True):
+def train_logistic(X, y, tol=1e-6, standardize=True):
     """Logistic regression by damped Newton iteration on the penalized
     Bernoulli log-likelihood.
 
-    The small L2 penalty (intercept unpenalized) keeps the optimum finite
+    The small L2 penalty of 1e-4 (intercept unpenalized) keeps the optimum finite
     under perfect separation; convergence is gradient inf-norm <= tol.
     """
     y = _check_two_classes(y)
@@ -188,7 +188,7 @@ def train_logistic(X, y, l2=1e-4, tol=1e-6, max_iter=10000, standardize=True):
     n, d = Z.shape
     A = np.column_stack([Z, np.ones(n)])
     beta = np.zeros(d + 1)
-    penalty = np.concatenate([np.full(d, l2), [0.0]])
+    penalty = np.concatenate([np.full(d, 1e-4), [0.0]])
 
     def objective(b):
         z = A @ b
@@ -197,7 +197,7 @@ def train_logistic(X, y, l2=1e-4, tol=1e-6, max_iter=10000, standardize=True):
         return nll + 0.5 * np.sum(penalty * b**2)
 
     obj = objective(beta)
-    for _ in range(max_iter):
+    for _ in range(10000):
         p = _sigmoid(A @ beta)
         grad = A.T @ (p - y) + penalty * beta
         if np.max(np.abs(grad)) <= tol:
@@ -461,16 +461,17 @@ def train_forest(X, y, n_trees=100, max_depth=2, seed=0):
     return replace(model, oob_accuracy=float(np.mean(oob_pred == (y[seen] == 1))))
 
 
-def train_boosting(X, y, n_stages=100, learning_rate=0.1, tree_depth=3, seed=0):
+def train_boosting(X, y, n_stages=100, tree_depth=3):
     """Gradient boosting under binomial deviance.
 
     The score starts at the training log-odds; each stage fits a regression
     tree to the negative gradient (residual y - p) and applies a per-leaf
-    Newton step scaled by the learning rate.  Every stage uses all rows and
-    features, so nothing is drawn at random and seed has no effect.
+    Newton step scaled by the learning rate of 0.1.  Every stage uses all
+    rows and features, so nothing is drawn at random.
     """
     y = _check_two_classes(y)
     X = _check_finite(X)
+    learning_rate = 0.1
     n, d = X.shape
     p0 = y.mean()
     base = float(np.log(p0 / (1.0 - p0)))
@@ -570,7 +571,7 @@ def make_trainer(classifier, seed=0):
     if classifier == "forest":
         return lambda X, y: train_forest(X, y, seed=seed)
     if classifier == "boosting":
-        return lambda X, y: train_boosting(X, y, seed=seed)
+        return lambda X, y: train_boosting(X, y)
     raise DomainError(f"unknown classifier {classifier!r}")
 
 

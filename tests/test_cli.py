@@ -555,3 +555,36 @@ class TestErrorContract:
         record = error_record(err)
         assert record["error"] == "ParseError"
         assert "line 2" in record["message"] and str(labels) in record["message"]
+
+    def test_mixed_sample_rates_exit_1(self, tmp_path, capsys):
+        # every label covers 0.1 s, so each recording is valid at either rate
+        manifest = write_corpus_files(tmp_path, make_segments(seed=0, n_stable=4, n_chatter=4))
+        doc = json.loads(manifest.read_text())
+        for i, rec in enumerate(doc["records"]):
+            (tmp_path / rec["label_path"]).write_text(
+                f"0.0,0.1,{'stable' if i < 4 else 'chatter'}\n")
+            rec["sample_rate_hz"] = 20000.0 if i % 2 else FS
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "evaluate-within", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--level", "3", "--classifier", "logreg", "--out", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert "'file01'" in record["message"] and "20000.0 Hz" in record["message"]
+        assert "10000.0 Hz" in record["message"]
+
+    def test_interval_outside_recording_names_label_file(self, tmp_path, capsys):
+        [segment] = make_segments(seed=0, n_stable=1, n_chatter=0)  # 0.3 s
+        manifest = write_corpus_files(tmp_path, [segment])
+        labels = tmp_path / "labels_00.csv"
+        labels.write_text("0.0,9.0,chatter\n")
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith(f"{labels}: interval [0.0, 9.0]s outside")

@@ -426,6 +426,58 @@ class TestRunTransferCombined:
             run_transfer_combined(self.spec(), trains, [self.prepared("c", 2)])
 
 
+class TestSpecAgreement:
+    """A run refuses prepared configs whose method, level, window length or
+    stickout ids differ from the spec, which the report would carry."""
+
+    @staticmethod
+    def prepared(stickout_id, seed=0):
+        segments = make_segments(seed=seed, n_stable=4, n_chatter=4)
+        return prepare_wpt_config(make_config(stickout_id), segments, 3)
+
+    def test_method(self, wpt_prepared):
+        with pytest.raises(ValidationError, match="method 'wpt', but the spec has 'eemd'"):
+            run_within(within_spec(method="eemd"), wpt_prepared)
+
+    def test_level(self, wpt_prepared):
+        with pytest.raises(ValidationError, match="level 3, but the spec has 4"):
+            run_within(within_spec(level=4), wpt_prepared)
+
+    def test_window_len(self, eemd_prepared):
+        with pytest.raises(ValidationError, match="window_len 1000, but the spec has 500"):
+            run_within(within_spec(method="eemd", window_len=500), eemd_prepared)
+
+    def test_within_stickout(self, wpt_prepared):
+        with pytest.raises(ValidationError, match=r"train configs \['synth'\]"):
+            run_within(within_spec(train_configs=("a",), test_configs=("a",)), wpt_prepared)
+
+    def test_transfer_train_stickout(self):
+        spec = ExperimentSpec("wpt", "logistic", ("a",), ("b",), mode="transfer", level=3)
+        with pytest.raises(ValidationError, match=r"train configs \['b'\]"):
+            run_transfer(spec, self.prepared("b"), self.prepared("a", 1))
+
+    def test_combined_test_stickouts(self):
+        spec = ExperimentSpec("wpt", "logistic", ("a", "b"), ("c", "d"),
+                              mode="transfer-combined", level=3)
+        with pytest.raises(ValidationError, match=r"test configs \['d', 'c'\]"):
+            run_transfer_combined(spec, [self.prepared("a"), self.prepared("b", 1)],
+                                  [self.prepared("d", 3), self.prepared("c", 2)])
+
+
+class TestOneSampleRate:
+    @pytest.mark.parametrize("method", ["wpt", "eemd"])
+    def test_mixed_rates_rejected(self, method):
+        segments = make_segments(seed=0, n_stable=2, n_chatter=2, seg_len=2000)
+        odd = segments[2]
+        segments[2] = Segment(TimeSeries(odd.series.samples, 2 * FS), odd.label, odd.source)
+        with pytest.raises(ValidationError, match="'chatter00' is sampled at 20000.0 Hz, "
+                                                  "but file 'stable00' at 10000.0 Hz"):
+            if method == "wpt":
+                prepare_wpt_config(make_config(), segments, 3)
+            else:
+                prepare_eemd_config(make_config(), segments, 1000, FAST_EEMD)
+
+
 def report_sha256(report):
     text = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()

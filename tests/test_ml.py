@@ -241,34 +241,34 @@ class TestForest:
 class TestBoosting:
     def test_separable_blobs(self):
         X, y = blobs(seed=13)
-        model = train_boosting(X, y, seed=0)
+        model = train_boosting(X, y)
         assert np.mean(model.predict(X) == y) == 1.0
 
     def test_xor_solved(self):
         X, y = xor_data(seed=5)
-        model = train_boosting(X, y, seed=0)
+        model = train_boosting(X, y)
         assert np.mean(model.predict(X) == y) >= 0.95
 
     def test_training_deviance_non_increasing(self):
         X, y = blobs(seed=14, gap=1.5)
-        dev = train_boosting(X, y, seed=0).train_deviances
+        dev = train_boosting(X, y).train_deviances
         assert len(dev) == 100
         assert all(b <= a + 1e-9 for a, b in zip(dev, dev[1:]))
 
     def test_base_score_is_log_odds(self):
         X, y = blobs(seed=15, n_per=30)
-        model = train_boosting(X, y, n_stages=1, seed=0)
+        model = train_boosting(X, y, n_stages=1)
         assert abs(model.base_score - np.log(0.5 / 0.5)) < 1e-12
 
     def test_deterministic(self):
         X, y = blobs(seed=16)
-        a = train_boosting(X, y, seed=2)
-        b = train_boosting(X, y, seed=2)
+        a = train_boosting(X, y)
+        b = train_boosting(X, y)
         assert np.array_equal(a.decision_function(X), b.decision_function(X))
 
     def test_serialization_round_trip(self):
         X, y = xor_data(seed=6, n_per=15)
-        model = train_boosting(X, y, n_stages=20, seed=0)
+        model = train_boosting(X, y, n_stages=20)
         clone = model_from_dict(model.to_dict())
         assert np.allclose(clone.decision_function(X), model.decision_function(X))
 
