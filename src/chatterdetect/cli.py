@@ -31,7 +31,7 @@ from .ingest import (
     load_timeseries,
     read_json,
 )
-from .ml import CLASSIFIER_ALIASES, make_trainer
+from .ml import make_trainer
 from .wavelet import wpt_decompose
 
 
@@ -257,25 +257,13 @@ def _cmd_train(args):
     print(json.dumps({"output": str(path), "train_accuracy": train_acc}))
 
 
-def _spec(args, mode, train_configs, test_configs):
-    split = harness.WITHIN_SPLIT if mode == "within" else harness.TRANSFER_SPLIT
-    return harness.ExperimentSpec(
-        method=args.method,
-        classifier=CLASSIFIER_ALIASES.get(args.classifier, args.classifier),
-        train_configs=tuple(train_configs),
-        test_configs=tuple(test_configs),
-        mode=mode,
-        level=args.level,
-        window_len=args.window_len,
-        n_realizations=args.realizations,
-        split=split,
-        master_seed=args.seed,
-        grouped_split=args.grouped_split,
-    )
+def _spec(args):
+    return harness.ExperimentSpec(args.classifier, args.realizations, args.seed,
+                                  args.grouped_split)
 
 
 def _cmd_evaluate_within(args):
-    spec = _spec(args, "within", [args.stickout], [args.stickout])
+    spec = _spec(args)
     [prepared] = _prepare(args, [args.stickout])
     report = harness.run_within(spec, prepared)
     path = harness.emit_report(
@@ -286,8 +274,8 @@ def _cmd_evaluate_within(args):
 
 def _cmd_evaluate_transfer(args):
     combined = len(args.train_config) == 2
-    spec = _spec(args, "transfer-combined" if combined else "transfer",
-                 args.train_config, args.test_config)
+    harness.check_transfer_configs(args.train_config, args.test_config, combined)
+    spec = _spec(args)
     if combined:
         prepared = _prepare(args, args.train_config + args.test_config)
         report = harness.run_transfer_combined(spec, prepared[:2], prepared[2:])

@@ -8,12 +8,17 @@ features are reconstructed from it the first time a selection reads them,
 then kept.  Each realization only re-draws the split, re-selects the
 informative component on its training side, and retrains.  Samples are keyed
 by stable ids, making reports invariant under manifest row order.
+
+An ExperimentSpec holds only what a run's inputs do not fix: classifier,
+realizations, seed and grouped split.  The report's spec record adds the
+method, its level or window length, and the stickouts from the prepared
+configs, and the mode and split from the run function.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +38,7 @@ from .ingest import (
     load_timeseries,
     window_segments,
 )
-from .ml import make_trainer, nested_feature_accuracies, rfe_rank
+from .ml import CLASSIFIER_ALIASES, CLASSIFIERS, make_trainer, nested_feature_accuracies, rfe_rank
 from .select import in_band_fraction, select_imf, select_packet
 from .wavelet import FrequencyBand, PacketTree, energy_ratios, reconstruct_packet, wpt_decompose
 
@@ -45,49 +50,21 @@ FEATURE_NAMES = {"wpt": WPT_FEATURE_NAMES, "eemd": EEMD_FEATURE_NAMES}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    method: str  # "wpt" or "eemd"
-    classifier: str  # "svm", "logistic", "forest", "boosting"
-    train_configs: tuple
-    test_configs: tuple
-    mode: str = "within"  # "within", "transfer", "transfer-combined"
-    level: int = 4
-    window_len: int = 1000
+    """The settings a run cannot read from its prepared configs; the run
+    function fixes the mode and split, the configs the rest."""
+
+    classifier: str  # "svm", "logistic", "forest", "boosting", or an alias
     n_realizations: int = 10
-    split: tuple = WITHIN_SPLIT
     master_seed: int = 0
     grouped_split: bool = False
 
     def __post_init__(self):
-        if self.method not in ("wpt", "eemd"):
-            raise ValidationError(f"unknown method {self.method!r}")
+        name = CLASSIFIER_ALIASES.get(self.classifier, self.classifier)
+        if name not in CLASSIFIERS:
+            raise ValidationError(f"unknown classifier {self.classifier!r}")
+        object.__setattr__(self, "classifier", name)  # reports carry the full name
         if self.n_realizations < 1:
             raise ValidationError(f"n_realizations must be positive, got {self.n_realizations}")
-        tf, sf = self.split
-        if not (0 < tf <= 1 and 0 < sf <= 1):
-            raise ValidationError("split fractions must lie in (0, 1]")
-        if self.mode == "within":
-            if tuple(self.train_configs) != tuple(self.test_configs):
-                raise ValidationError("within mode requires train config == test config")
-        elif self.mode == "transfer":
-            if len(self.train_configs) != 1 or len(self.test_configs) != 1:
-                raise ValidationError("transfer mode takes one train and one test config")
-            if set(self.train_configs) & set(self.test_configs):
-                raise ValidationError("transfer mode requires disjoint train/test configs")
-        elif self.mode == "transfer-combined":
-            all_ids = tuple(self.train_configs) + tuple(self.test_configs)
-            if len(self.train_configs) != 2 or len(self.test_configs) != 2:
-                raise ValidationError("combined mode takes two train and two test configs")
-            if len(set(all_ids)) != 4:
-                raise ValidationError("combined mode requires four distinct configs")
-        else:
-            raise ValidationError(f"unknown mode {self.mode!r}")
-
-    def to_dict(self):
-        d = asdict(self)
-        d["train_configs"] = list(self.train_configs)
-        d["test_configs"] = list(self.test_configs)
-        d["split"] = list(self.split)
-        return d
 
 
 @dataclass(frozen=True)
@@ -245,6 +222,8 @@ def segments_from_manifest(manifest, stickout_id):
 
 def prepare_from_manifest(manifest, stickout_id, method, level=4,
                           window_len=1000, eemd_params=None):
+    if method not in FEATURE_NAMES:
+        raise ValidationError(f"unknown method {method!r}; use 'wpt' or 'eemd'")
     config = manifest.config(stickout_id)
     segments = segments_from_manifest(manifest, stickout_id)
     if method == "wpt":
@@ -341,7 +320,8 @@ class ExperimentReport:
         return max(self.per_k, key=lambda row: row["mean_test"])
 
 
-def _aggregate(spec, feature_names, logs):
+def _aggregate(record, logs):
+    feature_names = FEATURE_NAMES[record["method"]]
     d = len(feature_names)
     per_k = []
     for k in range(1, d + 1):
@@ -356,7 +336,7 @@ def _aggregate(spec, feature_names, logs):
                 "std_test": float(test.std(ddof=0)),
             }
         )
-    return ExperimentReport(spec.to_dict(), tuple(feature_names), per_k, logs, len(logs))
+    return ExperimentReport(record, tuple(feature_names), per_k, logs, len(logs))
 
 
 def _stack(parts):
@@ -366,12 +346,58 @@ def _stack(parts):
     return X, y
 
 
-def _realize(spec, draw):
-    """The realization loop shared by every mode.
+def check_transfer_configs(train_ids, test_ids, combined):
+    """Reject transfer sides that are not one stickout each (two each when
+    combined) or that name a stickout twice."""
+    n = 2 if combined else 1
+    if len(train_ids) != n or len(test_ids) != n:
+        raise ValidationError("combined mode takes two train and two test configs" if combined
+                              else "transfer mode takes one train and one test config")
+    ids = [*train_ids, *test_ids]
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"transfer configs must be distinct, got train {list(train_ids)} "
+                              f"and test {list(test_ids)}")
+
+
+def _report_spec(spec, mode, trains, tests):
+    """The report's spec record: the run's settings, the mode and its split,
+    and the stickouts and decomposition of the prepared configs, which must
+    share one method, level and window length."""
+    train_ids = [p.config.stickout_id for p in trains]
+    test_ids = [p.config.stickout_id for p in tests]
+    if mode != "within":
+        check_transfer_configs(train_ids, test_ids, combined=mode == "transfer-combined")
+    first = trains[0]
+    for prep in (*trains, *tests):
+        for name in ("method", "level", "window_len"):
+            have, want = getattr(prep, name), getattr(first, name)
+            if have != want:
+                raise ValidationError(
+                    f"stickout {prep.config.stickout_id!r} was prepared with {name} {have!r}, "
+                    f"but stickout {first.config.stickout_id!r} with {want!r}")
+    return {
+        "method": first.method,
+        "classifier": spec.classifier,
+        "train_configs": train_ids,
+        "test_configs": test_ids,
+        "mode": mode,
+        # only the parameter of the method that ran
+        **({"level": first.level} if first.method == "wpt" else {"window_len": first.window_len}),
+        "n_realizations": spec.n_realizations,
+        "split": list(WITHIN_SPLIT if mode == "within" else TRANSFER_SPLIT),
+        "master_seed": spec.master_seed,
+        "grouped_split": spec.grouped_split,
+    }
+
+
+def _realize(spec, mode, trains, tests, draw):
+    """The realization loop shared by every mode, on the prepared train and
+    test configs.
 
     draw(r) returns the train parts, the test parts and the selection record
     of realization r; a part is (prepared config, sample indices, selection).
     """
+    record = _report_spec(spec, mode, trains, tests)
     logs = []
     for r in range(spec.n_realizations):
         train, test, selection = draw(r)
@@ -388,24 +414,7 @@ def _realize(spec, draw):
             "n_test": int(len(yte)),
         })
         del ranking  # drop its step models before the next realization's RFE
-    return _aggregate(spec, FEATURE_NAMES[spec.method], logs)
-
-
-def _check_prepared(spec, trains, tests):
-    """Reject prepared configs that the spec does not describe: a report
-    carries the spec's method, level, window length and configs."""
-    for prep in (*trains, *tests):
-        for name in ("method", "level" if spec.method == "wpt" else "window_len"):
-            have, want = getattr(prep, name), getattr(spec, name)
-            if have != want:
-                raise ValidationError(f"stickout {prep.config.stickout_id!r} was prepared "
-                                      f"with {name} {have!r}, but the spec has {want!r}")
-    for side, want, preps in (("train", spec.train_configs, trains),
-                              ("test", spec.test_configs, tests)):
-        got = [p.config.stickout_id for p in preps]
-        if got != list(want):
-            raise ValidationError(
-                f"prepared {side} configs {got} differ from the spec's {list(want)}")
+    return _aggregate(record, logs)
 
 
 def _groups(spec, prepared):
@@ -422,20 +431,17 @@ def _draw_side(spec, prepared, fraction, rng):
 
 def run_within(spec, prepared):
     """Repeated stratified split-train-test on a single configuration."""
-    if spec.mode != "within":
-        raise ValidationError("spec is not in within mode")
-    _check_prepared(spec, [prepared], [prepared])
     labels = prepared.labels
     groups = _groups(spec, prepared)
 
     def draw(r):
         rng = np.random.default_rng([spec.master_seed, r])
-        train_idx, test_idx = _draw_split(labels, spec.split[0], rng, groups)
+        train_idx, test_idx = _draw_split(labels, WITHIN_SPLIT[0], rng, groups)
         selection = prepared.select(train_idx)
         return ([(prepared, train_idx, selection)],
                 [(prepared, test_idx, selection)], selection)
 
-    return _realize(spec, draw)
+    return _realize(spec, "within", [prepared], [prepared], draw)
 
 
 def run_transfer(spec, prepared_train, prepared_test):
@@ -444,19 +450,15 @@ def run_transfer(spec, prepared_train, prepared_test):
     The informative packet/IMF is frozen from the training configuration and
     applied unchanged on the test side.
     """
-    if spec.mode != "transfer":
-        raise ValidationError("spec is not in transfer mode")
-    _check_prepared(spec, [prepared_train], [prepared_test])
-
     def draw(r):
         rng = np.random.default_rng([spec.master_seed, r])
-        train_idx = _draw_side(spec, prepared_train, spec.split[0], rng)
-        test_idx = _draw_side(spec, prepared_test, spec.split[1], rng)
+        train_idx = _draw_side(spec, prepared_train, TRANSFER_SPLIT[0], rng)
+        test_idx = _draw_side(spec, prepared_test, TRANSFER_SPLIT[1], rng)
         selection = prepared_train.select(train_idx)
         return ([(prepared_train, train_idx, selection)],
                 [(prepared_test, test_idx, selection)], selection)
 
-    return _realize(spec, draw)
+    return _realize(spec, "transfer", [prepared_train], [prepared_test], draw)
 
 
 def run_transfer_combined(spec, prepared_trains, prepared_tests):
@@ -466,14 +468,10 @@ def run_transfer_combined(spec, prepared_trains, prepared_tests):
     selection (selections differ across stickout cases), computed from the
     drawn samples of that configuration.
     """
-    if spec.mode != "transfer-combined":
-        raise ValidationError("spec is not in transfer-combined mode")
-    _check_prepared(spec, prepared_trains, prepared_tests)
-
     def draw(r):
         sides, selections = [], {}
         for side_code, (fraction, datasets) in enumerate(
-            ((spec.split[0], prepared_trains), (spec.split[1], prepared_tests))
+            zip(TRANSFER_SPLIT, (prepared_trains, prepared_tests))
         ):
             parts = []
             for pos, prep in enumerate(datasets):
@@ -485,7 +483,7 @@ def run_transfer_combined(spec, prepared_trains, prepared_tests):
             sides.append(parts)
         return sides[0], sides[1], selections
 
-    return _realize(spec, draw)
+    return _realize(spec, "transfer-combined", prepared_trains, prepared_tests, draw)
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def load_manifest(path):
         )
     if not isinstance(raw_records, list) or not isinstance(raw_configs, dict):
         raise ValidationError(f"{path}: records must be a list and configs an object")
-    records = []
+    records, first_with_id = [], {}
     for i, rec in enumerate(raw_records):
         if not isinstance(rec, dict):
             raise ValidationError(f"{path}: manifest record {i} is not an object")
@@ -386,6 +386,11 @@ def load_manifest(path):
             raise ValidationError(f"{path}: manifest record {i} missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: manifest record {i}: {exc}") from None
+        # sample ids start with the file id; a shared one would merge two files' samples
+        j = first_with_id.setdefault(records[-1].file_id, i)
+        if j != i:
+            raise ValidationError(
+                f"{path}: manifest records {j} and {i} share file_id {records[-1].file_id!r}")
     configs = {}
     for sid, spec in raw_configs.items():
         band = spec.get("chatter_band_hz") if isinstance(spec, dict) else None

@@ -557,6 +557,7 @@ def nested_feature_accuracies(X_train, y_train, X_test, y_test, ranking):
 # ---------------------------------------------------------------------------
 # trainer factory
 
+CLASSIFIERS = ("svm", "logistic", "forest", "boosting")
 # short names the CLI accepts, mapped to the names reports carry
 CLASSIFIER_ALIASES = {"logreg": "logistic", "boost": "boosting"}
 

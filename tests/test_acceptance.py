@@ -261,17 +261,13 @@ def test_criterion_10_reference_dataset():
     details = []
     for sid, (mean, std) in envelopes.items():
         prep = prepare_from_manifest(manifest, sid, "wpt", level=4)
-        spec = ExperimentSpec("wpt", "svm", (sid,), (sid,), mode="within",
-                              level=4, n_realizations=10, master_seed=0)
-        best = run_within(spec, prep).best_row()["mean_test"]
+        best = run_within(ExperimentSpec("svm"), prep).best_row()["mean_test"]
         lo, hi = mean - 2 * std, mean + 2 * std
         if lo <= best <= hi:
             inside += 1
         details.append(f"{sid}in: {best:.3f} vs {mean:.3f}+/-{2 * std:.3f}")
-    spec = ExperimentSpec("eemd", "svm", ("4.5",), ("2",), mode="transfer",
-                          split=(0.70, 0.70), n_realizations=10, master_seed=0)
     transfer_best = run_transfer(
-        spec,
+        ExperimentSpec("svm"),
         prepare_from_manifest(manifest, "4.5", "eemd"),
         prepare_from_manifest(manifest, "2", "eemd"),
     ).best_row()["mean_test"]

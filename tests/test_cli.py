@@ -460,6 +460,40 @@ class TestErrorContract:
         assert record["error"] == "ValidationError"
         assert "one train and one test" in record["message"]
 
+    @pytest.mark.parametrize("train, test, fragment", [
+        (["A", "B", "C"], ["D"], "one train and one test"),
+        (["A"], ["C", "D"], "one train and one test"),
+        (["A", "B"], ["C"], "two train and two test"),
+        (["A"], ["A"], "must be distinct"),
+        (["A", "B"], ["B", "C"], "must be distinct"),
+    ])
+    def test_transfer_configs_checked_before_the_manifest(self, capsys, tmp_path,
+                                                         train, test, fragment):
+        code, out, err = run(
+            capsys, "evaluate-transfer", "--manifest", str(tmp_path / "missing.json"),
+            "--train-config", *train, "--test-config", *test,
+            "--method", "wpt", "--classifier", "svm", "--out", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert fragment in record["message"]
+
+    def test_duplicate_file_id_exit_1(self, tmp_path, capsys):
+        manifest = write_corpus_files(tmp_path, make_segments(seed=0, n_stable=2, n_chatter=2))
+        doc = json.loads(manifest.read_text())
+        doc["records"][3]["file_id"] = doc["records"][1]["file_id"]
+        manifest.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert record["message"] == (
+            f"{manifest}: manifest records 1 and 3 share file_id 'file01'")
+
     @pytest.mark.parametrize("command", ["decompose", "train", "evaluate-within"])
     def test_negative_seed_exit_1(self, corpus, capsys, tmp_path, command):
         _, manifest = corpus

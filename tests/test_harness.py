@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -50,50 +51,54 @@ def eemd_prepared():
                                eemd_params=FAST_EEMD)
 
 
-def within_spec(**kw):
-    base = dict(
-        method="wpt", classifier="logistic", train_configs=("synth",),
-        test_configs=("synth",), mode="within", level=3, n_realizations=3,
-        master_seed=0,
-    )
-    base.update(kw)
-    return ExperimentSpec(**base)
+def run_spec(**kw):
+    return ExperimentSpec(**{"classifier": "logistic", "n_realizations": 3, **kw})
+
+
+def renamed(prepared, stickout_id, **fields):
+    """The same prepared samples under another stickout id (and fields)."""
+    return dataclasses.replace(prepared, config=make_config(stickout_id), **fields)
 
 
 class TestExperimentSpec:
-    def test_within_requires_matching_configs(self):
-        with pytest.raises(ValidationError):
-            within_spec(test_configs=("other",))
+    """The run settings, and the configs a run is given."""
 
-    def test_transfer_requires_disjoint(self):
-        with pytest.raises(ValidationError):
-            ExperimentSpec("wpt", "svm", ("a",), ("a",), mode="transfer")
+    def test_within_requires_matching_configs(self, wpt_prepared):
+        # a within run takes one prepared config, so both sides name it
+        spec = run_within(run_spec(n_realizations=1), wpt_prepared).spec
+        assert spec["train_configs"] == spec["test_configs"] == ["synth"]
+
+    def test_transfer_requires_disjoint(self, wpt_prepared):
+        with pytest.raises(ValidationError, match="distinct"):
+            run_transfer(run_spec(), wpt_prepared, wpt_prepared)
 
     @pytest.mark.parametrize("train, test", [(("a", "b", "c"), ("d",)),
                                              (("a",), ("c", "d")),
                                              (("a", "b"), ("c", "d"))])
     def test_transfer_takes_one_config_per_side(self, train, test):
         with pytest.raises(ValidationError, match="one train and one test"):
-            ExperimentSpec("wpt", "svm", train, test, mode="transfer")
+            harness.check_transfer_configs(train, test, combined=False)
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_realizations_must_be_positive(self, count):
         with pytest.raises(ValidationError, match="n_realizations"):
-            within_spec(n_realizations=count)
+            run_spec(n_realizations=count)
 
-    def test_combined_requires_four_distinct(self):
-        with pytest.raises(ValidationError):
-            ExperimentSpec("wpt", "svm", ("a", "b"), ("b", "c"),
-                           mode="transfer-combined")
-        with pytest.raises(ValidationError):
-            ExperimentSpec("wpt", "svm", ("a",), ("c", "d"),
-                           mode="transfer-combined")
+    def test_combined_requires_four_distinct(self, wpt_prepared):
+        a, b, c = (renamed(wpt_prepared, sid) for sid in "abc")
+        with pytest.raises(ValidationError, match="distinct"):
+            run_transfer_combined(run_spec(), [a, b], [b, c])
+        with pytest.raises(ValidationError, match="two train and two test"):
+            run_transfer_combined(run_spec(), [a], [b, c])
 
-    def test_unknown_method_and_mode(self):
-        with pytest.raises(ValidationError):
-            ExperimentSpec("dwt", "svm", ("a",), ("a",))
-        with pytest.raises(ValidationError):
-            ExperimentSpec("wpt", "svm", ("a",), ("a",), mode="cross")
+    @pytest.mark.parametrize("alias, name", [("logreg", "logistic"), ("boost", "boosting"),
+                                             ("svm", "svm")])
+    def test_classifier_alias_becomes_report_name(self, alias, name):
+        assert ExperimentSpec(alias).classifier == name
+
+    def test_unknown_classifier_rejected(self):
+        with pytest.raises(ValidationError, match="unknown classifier 'perceptron'"):
+            ExperimentSpec("perceptron")
 
 
 class TestPreparation:
@@ -179,7 +184,7 @@ class TestLazyPacketFeatures:
         assert calls == []
         assert all(np.isnan(s.packet_features).all() for s in prepared.samples)
         for seed in (0, 1, 0):
-            run_within(within_spec(n_realizations=3, master_seed=seed), prepared)
+            run_within(run_spec(n_realizations=3, master_seed=seed), prepared)
         filled = sum(int((~np.isnan(s.packet_features[:, 0])).sum()) for s in prepared.samples)
         assert 0 < len(calls) == filled <= len(prepared.samples) * 2**3
 
@@ -201,11 +206,9 @@ class TestLazyPacketFeatures:
         assert len(calls) == len(segments) + 4 * 16
         assert calls[: len(segments)] == [seg.series.samples.size for seg in segments]
         calls.clear()
-        run_within(within_spec(), within)
+        run_within(run_spec(), within)
         run_transfer_combined(
-            ExperimentSpec("wpt", "logistic", ("a", "b"), ("c", "d"), mode="transfer-combined",
-                           level=3, n_realizations=2, split=(0.70, 0.70)),
-            combined[:2], combined[2:])
+            run_spec(n_realizations=2), combined[:2], combined[2:])
         assert calls == []
         for prep in [within, *combined]:  # the runs did read rows, from the kept leaves
             assert not np.isnan(np.stack([s.packet_features for s in prep.samples])).all()
@@ -254,7 +257,7 @@ class TestDrawSplit:
 
 class TestRunWithin:
     def test_report_structure(self, wpt_prepared):
-        report = run_within(within_spec(), wpt_prepared)
+        report = run_within(run_spec(), wpt_prepared)
         assert report.n_realizations == 3
         assert len(report.per_k) == 14
         assert [row["k"] for row in report.per_k] == list(range(1, 15))
@@ -277,31 +280,31 @@ class TestRunWithin:
             return fit
 
         monkeypatch.setattr(harness, "make_trainer", counting)
-        run_within(within_spec(n_realizations=2), wpt_prepared)
+        run_within(run_spec(n_realizations=2), wpt_prepared)
         assert fits == list(range(14, 0, -1)) * 2
 
     def test_synthetic_corpus_is_learnable(self, wpt_prepared):
-        report = run_within(within_spec(classifier="svm"), wpt_prepared)
+        report = run_within(run_spec(classifier="svm"), wpt_prepared)
         assert report.best_row()["mean_test"] >= 0.95
 
     def test_deterministic(self, wpt_prepared):
-        a = run_within(within_spec(), wpt_prepared)
-        b = run_within(within_spec(), wpt_prepared)
+        a = run_within(run_spec(), wpt_prepared)
+        b = run_within(run_spec(), wpt_prepared)
         assert a.to_dict() == b.to_dict()
 
     def test_seed_changes_splits(self, wpt_prepared):
-        a = run_within(within_spec(), wpt_prepared)
-        b = run_within(within_spec(master_seed=99), wpt_prepared)
+        a = run_within(run_spec(), wpt_prepared)
+        b = run_within(run_spec(master_seed=99), wpt_prepared)
         assert a.to_dict() != b.to_dict()
 
     def test_selection_finds_chatter_packet(self, wpt_prepared):
-        report = run_within(within_spec(), wpt_prepared)
+        report = run_within(run_spec(), wpt_prepared)
         for log in report.realizations:
             # 950 Hz tone sits in the 625-1250 Hz packet at level 3
             assert log["selection"]["index"] == 2
 
     def test_split_sizes(self, wpt_prepared):
-        report = run_within(within_spec(), wpt_prepared)
+        report = run_within(run_spec(), wpt_prepared)
         for log in report.realizations:
             assert log["n_train"] == 16  # round(0.67 * 12) per class
             assert log["n_test"] == 8
@@ -310,9 +313,9 @@ class TestRunWithin:
         segments = make_segments(seed=2, n_stable=6, n_chatter=6)
         shuffled = list(segments)
         np.random.default_rng(0).shuffle(shuffled)
-        a = run_within(within_spec(),
+        a = run_within(run_spec(),
                        prepare_wpt_config(make_config(), segments, 3))
-        b = run_within(within_spec(),
+        b = run_within(run_spec(),
                        prepare_wpt_config(make_config(), shuffled, 3))
         assert a.to_dict() == b.to_dict()
 
@@ -320,7 +323,7 @@ class TestRunWithin:
         # two windows per segment share a group; they must not straddle sides
         segments = make_segments(seed=3, n_stable=6, n_chatter=6, seg_len=2000)
         prep = prepare_eemd_config(make_config(), segments, 1000, FAST_EEMD)
-        spec = within_spec(method="eemd", grouped_split=True, n_realizations=2)
+        spec = run_spec(grouped_split=True, n_realizations=2)
         report = run_within(spec, prep)
         groups = [s.group for s in prep.samples]
         for log in report.realizations:
@@ -329,16 +332,9 @@ class TestRunWithin:
         assert len(set(groups)) == 12
 
     def test_eemd_within_runs(self, eemd_prepared):
-        spec = within_spec(method="eemd", n_realizations=2)
-        report = run_within(spec, eemd_prepared)
+        report = run_within(run_spec(n_realizations=2), eemd_prepared)
         assert len(report.per_k) == 7
         assert report.best_row()["mean_test"] >= 0.9
-
-    def test_wrong_mode_rejected(self, wpt_prepared):
-        spec = ExperimentSpec("wpt", "svm", ("a",), ("b",), mode="transfer",
-                              level=3)
-        with pytest.raises(ValidationError):
-            run_within(spec, wpt_prepared)
 
 
 class TestRunTransfer:
@@ -349,14 +345,8 @@ class TestRunTransfer:
         segments = make_segments(seed=seed, chatter_hz=chatter_hz)
         return prepare_wpt_config(config, segments, 3)
 
-    def spec(self, **kw):
-        base = dict(
-            method="wpt", classifier="logistic", train_configs=("a",),
-            test_configs=("b",), mode="transfer", level=3, n_realizations=3,
-            split=(0.70, 0.70), master_seed=1,
-        )
-        base.update(kw)
-        return ExperimentSpec(**base)
+    def spec(self):
+        return run_spec(master_seed=1)
 
     def test_transfer_generalizes_on_synthetic(self):
         train = self.make_prepared("a", seed=0)
@@ -396,12 +386,7 @@ class TestRunTransferCombined:
         return prepare_wpt_config(config, segments, 3)
 
     def spec(self):
-        return ExperimentSpec(
-            method="wpt", classifier="logistic",
-            train_configs=("a", "b"), test_configs=("c", "d"),
-            mode="transfer-combined", level=3, n_realizations=2,
-            split=(0.70, 0.70), master_seed=2,
-        )
+        return run_spec(n_realizations=2, master_seed=2)
 
     def test_union_sizes_and_selections(self):
         trains = [self.prepared("a", 0), self.prepared("b", 1)]
@@ -427,41 +412,48 @@ class TestRunTransferCombined:
 
 
 class TestSpecAgreement:
-    """A run refuses prepared configs whose method, level, window length or
-    stickout ids differ from the spec, which the report would carry."""
+    """The prepared configs of one run share one decomposition, and the
+    report's spec reads it, and the stickouts, from them."""
 
-    @staticmethod
-    def prepared(stickout_id, seed=0):
-        segments = make_segments(seed=seed, n_stable=4, n_chatter=4)
-        return prepare_wpt_config(make_config(stickout_id), segments, 3)
-
-    def test_method(self, wpt_prepared):
-        with pytest.raises(ValidationError, match="method 'wpt', but the spec has 'eemd'"):
-            run_within(within_spec(method="eemd"), wpt_prepared)
+    def test_method(self, wpt_prepared, eemd_prepared):
+        with pytest.raises(ValidationError,
+                           match="'b' was prepared with method 'eemd', but stickout 'synth' with 'wpt'"):
+            run_transfer(run_spec(), wpt_prepared, renamed(eemd_prepared, "b"))
 
     def test_level(self, wpt_prepared):
-        with pytest.raises(ValidationError, match="level 3, but the spec has 4"):
-            run_within(within_spec(level=4), wpt_prepared)
+        with pytest.raises(ValidationError, match="level 4, but stickout 'synth' with 3"):
+            run_transfer(run_spec(), wpt_prepared, renamed(wpt_prepared, "b", level=4))
 
     def test_window_len(self, eemd_prepared):
-        with pytest.raises(ValidationError, match="window_len 1000, but the spec has 500"):
-            run_within(within_spec(method="eemd", window_len=500), eemd_prepared)
+        a, b, c = (renamed(eemd_prepared, sid) for sid in "abc")
+        d = renamed(eemd_prepared, "d", window_len=500)
+        with pytest.raises(ValidationError, match="window_len 500, but stickout 'a' with 1000"):
+            run_transfer_combined(run_spec(), [a, b], [c, d])
 
     def test_within_stickout(self, wpt_prepared):
-        with pytest.raises(ValidationError, match=r"train configs \['synth'\]"):
-            run_within(within_spec(train_configs=("a",), test_configs=("a",)), wpt_prepared)
+        spec = run_within(run_spec(n_realizations=1), renamed(wpt_prepared, "a")).spec
+        assert spec["train_configs"] == ["a"]
+        assert (spec["mode"], spec["split"]) == ("within", [0.67, 0.33])
 
-    def test_transfer_train_stickout(self):
-        spec = ExperimentSpec("wpt", "logistic", ("a",), ("b",), mode="transfer", level=3)
-        with pytest.raises(ValidationError, match=r"train configs \['b'\]"):
-            run_transfer(spec, self.prepared("b"), self.prepared("a", 1))
+    def test_transfer_train_stickout(self, wpt_prepared):
+        spec = run_transfer(run_spec(), renamed(wpt_prepared, "b"),
+                            renamed(wpt_prepared, "a")).spec
+        assert (spec["train_configs"], spec["test_configs"]) == (["b"], ["a"])
+        assert (spec["mode"], spec["split"]) == ("transfer", [0.7, 0.7])
 
-    def test_combined_test_stickouts(self):
-        spec = ExperimentSpec("wpt", "logistic", ("a", "b"), ("c", "d"),
-                              mode="transfer-combined", level=3)
-        with pytest.raises(ValidationError, match=r"test configs \['d', 'c'\]"):
-            run_transfer_combined(spec, [self.prepared("a"), self.prepared("b", 1)],
-                                  [self.prepared("d", 3), self.prepared("c", 2)])
+    def test_combined_test_stickouts(self, wpt_prepared):
+        a, b, c, d = (renamed(wpt_prepared, sid) for sid in "abcd")
+        spec = run_transfer_combined(run_spec(n_realizations=1), [a, b], [d, c]).spec
+        assert (spec["train_configs"], spec["test_configs"]) == (["a", "b"], ["d", "c"])
+        assert (spec["mode"], spec["split"]) == ("transfer-combined", [0.7, 0.7])
+
+    def test_spec_keeps_only_the_method_parameter(self, wpt_prepared, eemd_prepared):
+        wpt = run_within(run_spec(n_realizations=1), wpt_prepared).spec
+        eemd = run_within(run_spec(n_realizations=1), eemd_prepared).spec
+        assert wpt["method"] == "wpt" and wpt["level"] == 3 and "window_len" not in wpt
+        assert eemd["method"] == "eemd" and eemd["window_len"] == 1000 and "level" not in eemd
+        assert list(wpt) == ["method", "classifier", "train_configs", "test_configs", "mode",
+                             "level", "n_realizations", "split", "master_seed", "grouped_split"]
 
 
 class TestOneSampleRate:
@@ -488,18 +480,18 @@ class TestGoldenReports:
     preparation, selection, RFE and the trainers together."""
 
     @pytest.mark.parametrize("level, digest", [
-        (3, "d841ad38f16e4c504ba3baf26831ea5499e5180e12b462a5117dc12e3373a977"),
-        (4, "87a66dcd40def4c2f06e4a1af256cd6af99abad4cdcde85324406a9fe287d0f7"),
-    ])
+        (3, "711505d57474c48418d9e276fdd9cc773c1e7e2f7808d213b16d58cded8ea60f"),
+        (4, "1d014163f039c3681469500c175520371bd2ecfe10c1f30703a1e19496e375f2"),
+    ], ids=["3", "4"])
     def test_wpt_within_svm(self, level, digest):
         prepared = prepare_wpt_config(make_config(), make_segments(seed=0), level)
-        report = run_within(within_spec(classifier="svm", level=level), prepared)
+        report = run_within(run_spec(classifier="svm"), prepared)
         assert report_sha256(report) == digest
 
     def test_eemd_within_logistic(self, eemd_prepared):
-        report = run_within(within_spec(method="eemd", n_realizations=2), eemd_prepared)
+        report = run_within(run_spec(n_realizations=2), eemd_prepared)
         assert report_sha256(report) == (
-            "8cb945bec2186c6973885c1e11efc27277d70bc92002681aa7d6d544cb364582")
+            "f77a1662be40cd040a021304a248f73f05a41433a3af94527ed6df73bd9c77f3")
 
     def test_wpt_transfer_across_bands(self):
         # the packet frozen on the 900-1000 Hz training band (packet 4 of 16)
@@ -510,29 +502,20 @@ class TestGoldenReports:
                                    make_segments(seed=0), 4)
         test = prepare_wpt_config(CuttingConfig("b", (2900.0, 3000.0)),
                                   make_segments(seed=10), 4)
-        spec = ExperimentSpec(
-            method="wpt", classifier="logistic", train_configs=("a",),
-            test_configs=("b",), mode="transfer", level=4, n_realizations=2,
-            split=(0.70, 0.70), master_seed=1,
-        )
-        report = run_transfer(spec, train, test)
+        report = run_transfer(run_spec(n_realizations=2, master_seed=1), train, test)
         assert report_sha256(report) == (
-            "f092ebdc4b52c84905a0855ee086802e711ff800228b68d8070d81c47cc77cd8")
+            "efefb77ff2aa9829147dfb28441d7ebab79ca30dfa0e53ed977c4fd031bc5a1e")
 
     def test_wpt_transfer_combined(self):
         def prepared(stickout_id, seed):
             segments = make_segments(seed=seed, n_stable=8, n_chatter=8)
             return prepare_wpt_config(CuttingConfig(stickout_id, (900.0, 1000.0)), segments, 4)
 
-        spec = ExperimentSpec(
-            method="wpt", classifier="logistic", train_configs=("a", "b"),
-            test_configs=("c", "d"), mode="transfer-combined", level=4,
-            n_realizations=2, split=(0.70, 0.70), master_seed=2,
-        )
+        spec = run_spec(n_realizations=2, master_seed=2)
         report = run_transfer_combined(spec, [prepared("a", 0), prepared("b", 1)],
                                        [prepared("c", 2), prepared("d", 3)])
         assert report_sha256(report) == (
-            "6d03f0f13023b429b297ba78a811b5bf5c438db316a5b702f709564dbc1b3cca")
+            "cd20abcf3ef4283ca89da6603193055317e60fa18d9fac717896110d3011566b")
 
 
 class TestManifestFlow:
@@ -542,13 +525,37 @@ class TestManifestFlow:
         manifest = load_manifest(manifest_path)
         prep = prepare_from_manifest(manifest, "synth", "wpt", level=3)
         assert len(prep.samples) == 8
-        report = run_within(within_spec(n_realizations=2), prep)
+        report = run_within(run_spec(n_realizations=2), prep)
         assert report.best_row()["mean_test"] >= 0.9
+
+    def test_unknown_method_rejected(self, tmp_path, monkeypatch):
+        manifest = load_manifest(write_corpus_files(tmp_path, make_segments(seed=4, n_stable=2,
+                                                                            n_chatter=2)))
+        monkeypatch.setattr(harness, "segments_from_manifest", None)  # fails before any load
+        with pytest.raises(ValidationError, match="unknown method 'WPT'"):
+            prepare_from_manifest(manifest, "synth", "WPT", level=3)
+
+    @pytest.mark.parametrize("ids, first", [(["file00", "file01", "file00"], 0),
+                                            ([None, "rec0000"], 0),
+                                            (["rec0002", "x", None], 0)])
+    def test_duplicate_file_ids_rejected(self, tmp_path, ids, first):
+        path = write_corpus_files(tmp_path, make_segments(seed=4, n_stable=2, n_chatter=2))
+        doc = json.loads(path.read_text())
+        doc["records"] = doc["records"][: len(ids)]
+        for rec, file_id in zip(doc["records"], ids):
+            rec.pop("file_id")
+            if file_id is not None:
+                rec["file_id"] = file_id
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            load_manifest(path)
+        assert str(exc.value).startswith(
+            f"{path}: manifest records {first} and {len(ids) - 1} share file_id")
 
 
 class TestEmitReport:
     def test_files_and_round_trip(self, tmp_path, wpt_prepared):
-        report = run_within(within_spec(), wpt_prepared)
+        report = run_within(run_spec(), wpt_prepared)
         json_path = emit_report(report, tmp_path, basename="exp")
         assert json_path.exists()
         assert (tmp_path / "exp.csv").exists()

@@ -60,8 +60,7 @@ def test_traced_wpt_run_counts_the_rows_it_reads(monkeypatch):
     tracer.install()
     try:
         prepared = harness.prepare_wpt_config(make_config(), make_segments(seed=0), 3)
-        spec = ExperimentSpec("wpt", "logistic", ("synth",), ("synth",), level=3,
-                              n_realizations=3)
+        spec = ExperimentSpec("logistic", n_realizations=3)
         report = harness.run_within(spec, prepared).to_dict()
     finally:
         tracer.uninstall()
