@@ -31,11 +31,8 @@ from .ingest import (
     load_timeseries,
     read_json,
 )
-from .ml import make_trainer
+from .ml import CLASSIFIERS, make_trainer
 from .wavelet import wpt_decompose
-
-
-CLASSIFIERS = ["svm", "logreg", "forest", "boost"]
 
 
 def build_parser():
@@ -45,7 +42,7 @@ def build_parser():
     common.add_argument("--out", default=".", help="output directory or file")
 
     decomposition = argparse.ArgumentParser(add_help=False)
-    decomposition.add_argument("--method", choices=["wpt", "eemd"], required=True)
+    decomposition.add_argument("--method", choices=harness.FEATURE_NAMES, required=True)
     decomposition.add_argument("--level", type=int, default=4)
     decomposition.add_argument("--ensemble-size", type=int, default=200)
     decomposition.add_argument("--noise-fraction", type=float, default=0.2)

@@ -68,6 +68,8 @@ class EemdParams:
             raise ValidationError("noise_std_fraction must lie in [0, 0.2]")
         if self.max_imfs < 1:
             raise ValidationError("max_imfs must be positive")
+        if self.master_seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ValidationError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 class _Work:

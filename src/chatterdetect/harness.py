@@ -11,8 +11,8 @@ by stable ids, making reports invariant under manifest row order.
 
 An ExperimentSpec holds only what a run's inputs do not fix: classifier,
 realizations, seed and grouped split.  The report's spec record adds the
-method, its level or window length, and the stickouts from the prepared
-configs, and the mode and split from the run function.
+method, its parameter record (level or window length) and the stickouts from
+the prepared configs, and the mode and split from the run function.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .ingest import (
     load_timeseries,
     window_segments,
 )
-from .ml import CLASSIFIER_ALIASES, CLASSIFIERS, make_trainer, nested_feature_accuracies, rfe_rank
+from .ml import CLASSIFIERS, make_trainer, nested_feature_accuracies, rfe_rank
 from .select import in_band_fraction, select_imf, select_packet
 from .wavelet import FrequencyBand, PacketTree, energy_ratios, reconstruct_packet, wpt_decompose
 
@@ -53,18 +53,19 @@ class ExperimentSpec:
     """The settings a run cannot read from its prepared configs; the run
     function fixes the mode and split, the configs the rest."""
 
-    classifier: str  # "svm", "logistic", "forest", "boosting", or an alias
+    classifier: str  # any spelling in ml.CLASSIFIERS; stored as the name reports carry
     n_realizations: int = 10
     master_seed: int = 0
     grouped_split: bool = False
 
     def __post_init__(self):
-        name = CLASSIFIER_ALIASES.get(self.classifier, self.classifier)
-        if name not in CLASSIFIERS:
+        if self.classifier not in CLASSIFIERS:
             raise ValidationError(f"unknown classifier {self.classifier!r}")
-        object.__setattr__(self, "classifier", name)  # reports carry the full name
+        object.__setattr__(self, "classifier", CLASSIFIERS[self.classifier])
         if self.n_realizations < 1:
             raise ValidationError(f"n_realizations must be positive, got {self.n_realizations}")
+        if self.master_seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ValidationError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ class PreparedConfig:
     config: CuttingConfig
     method: str
     sample_rate_hz: float
-    level: int
-    window_len: int
+    params: dict  # {"level": L} for wpt, {"window_len": N} for eemd
     samples: list
 
     @property
@@ -109,7 +109,7 @@ class PreparedConfig:
             return select_packet(
                 [s.packet_energy_ratios for s in chatter],
                 FrequencyBand(*self.config.chatter_band_hz),
-                self.level,
+                self.params["level"],
                 self.sample_rate_hz,
             )
         return select_imf([s.imf_band_fractions for s in chatter])
@@ -124,8 +124,8 @@ class PreparedConfig:
             if self.method == "wpt":
                 row = s.packet_features[idx - 1]
                 if np.isnan(row[0]):
-                    row[:] = wpt_features(reconstruct_packet(s.tree, self.level, idx).samples,
-                                          self.sample_rate_hz)
+                    packet = reconstruct_packet(s.tree, self.params["level"], idx)
+                    row[:] = wpt_features(packet.samples, self.sample_rate_hz)
                 rows.append(row)
             elif idx <= s.imf_features.shape[0]:
                 rows.append(s.imf_features[idx - 1])
@@ -157,18 +157,22 @@ def prepare_wpt_config(config, segments, level):
     fs = _sample_rate(segments)
     prepared = []
     for seg in segments:
-        tree = wpt_decompose(seg.series, level).leaves()
+        try:
+            tree = wpt_decompose(seg.series, level).leaves()
+            ratios = energy_ratios(tree, level)
+        except DomainError as exc:
+            raise DomainError(f"file {seg.source[0]!r} interval {seg.source[1]}: {exc}") from None
         prepared.append(
             PreparedSample(
                 sample_id=(seg.source[0], seg.source[1], 0),
                 label=seg.label,
                 tree=tree,
-                packet_energy_ratios=energy_ratios(tree, level),
+                packet_energy_ratios=ratios,
                 packet_features=np.full((2**level, len(WPT_FEATURE_NAMES)), np.nan),
             )
         )
     prepared.sort(key=lambda s: s.sample_id)
-    return PreparedConfig(config, "wpt", fs, level, 0, prepared)
+    return PreparedConfig(config, "wpt", fs, {"level": level}, prepared)
 
 
 def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
@@ -200,7 +204,7 @@ def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
             )
         )
     prepared.sort(key=lambda s: s.sample_id)
-    return PreparedConfig(config, "eemd", fs, 0, window_len, prepared)
+    return PreparedConfig(config, "eemd", fs, {"window_len": window_len}, prepared)
 
 
 def segments_from_manifest(manifest, stickout_id):
@@ -237,21 +241,15 @@ def prepare_from_manifest(manifest, stickout_id, method, level=4,
 def _stratified_split(labels, fraction, rng, groups=None):
     """Indices of a stratified draw and its complement.
 
-    With groups, whole groups land on one side; stratification is then by
-    group label.
+    Whole groups land on one side, and stratification is by group label;
+    without groups, each sample is its own group.
     """
     labels = np.asarray(labels)
-    if groups is None:
-        units = [(i,) for i in range(labels.size)]
-        unit_labels = labels
-    else:
-        keys = {}
-        for i, g in enumerate(groups):
-            keys.setdefault(g, []).append(i)
-        units = [tuple(v) for _, v in sorted(keys.items())]
-        unit_labels = np.asarray(
-            [labels[u[0]] for u in units]
-        )
+    keys = {}
+    for i, g in enumerate(range(labels.size) if groups is None else groups):
+        keys.setdefault(g, []).append(i)
+    units = [tuple(v) for _, v in sorted(keys.items())]
+    unit_labels = np.asarray([labels[u[0]] for u in units])
     part, rest = [], []
     for cls in np.unique(unit_labels):
         members = np.flatnonzero(unit_labels == cls)
@@ -362,27 +360,25 @@ def check_transfer_configs(train_ids, test_ids, combined):
 def _report_spec(spec, mode, trains, tests):
     """The report's spec record: the run's settings, the mode and its split,
     and the stickouts and decomposition of the prepared configs, which must
-    share one method, level and window length."""
+    share one method and parameter record."""
     train_ids = [p.config.stickout_id for p in trains]
     test_ids = [p.config.stickout_id for p in tests]
     if mode != "within":
         check_transfer_configs(train_ids, test_ids, combined=mode == "transfer-combined")
     first = trains[0]
     for prep in (*trains, *tests):
-        for name in ("method", "level", "window_len"):
-            have, want = getattr(prep, name), getattr(first, name)
-            if have != want:
-                raise ValidationError(
-                    f"stickout {prep.config.stickout_id!r} was prepared with {name} {have!r}, "
-                    f"but stickout {first.config.stickout_id!r} with {want!r}")
+        if (prep.method, prep.params) != (first.method, first.params):
+            raise ValidationError(
+                f"stickout {prep.config.stickout_id!r} was prepared with {prep.method} "
+                f"{prep.params}, but stickout {first.config.stickout_id!r} with "
+                f"{first.method} {first.params}")
     return {
         "method": first.method,
         "classifier": spec.classifier,
         "train_configs": train_ids,
         "test_configs": test_ids,
         "mode": mode,
-        # only the parameter of the method that ran
-        **({"level": first.level} if first.method == "wpt" else {"window_len": first.window_len}),
+        **first.params,
         "n_realizations": spec.n_realizations,
         "split": list(WITHIN_SPLIT if mode == "within" else TRANSFER_SPLIT),
         "master_seed": spec.master_seed,

@@ -85,10 +85,10 @@ class CuttingConfig:
 
     def __post_init__(self):
         low, high = self.chatter_band_hz
-        if not 0 < low < high:
+        if not 0 < low < high < inf:
             raise ValidationError(
                 f"stickout {self.stickout_id!r}: chatter band must satisfy "
-                f"0 < low < high, got {self.chatter_band_hz}"
+                f"0 < low < high < inf, got {self.chatter_band_hz}"
             )
 
 
@@ -370,7 +370,10 @@ def load_manifest(path):
         try:
             signal_path = str((path.parent / rec["signal_path"]).resolve())
             label_path = str((path.parent / rec["label_path"]).resolve())
-            rate = float(rec.get("sample_rate_hz", 10000.0))
+            rate = rec.get("sample_rate_hz", 10000.0)
+            if isinstance(rate, bool):
+                raise TypeError(f"sample_rate_hz must be a number, got {rate}")
+            rate = float(rate)
             if not 0 < rate < inf:
                 raise ValueError(f"sample_rate_hz must be finite and positive, got {rate}")
             records.append(
@@ -402,7 +405,10 @@ def load_manifest(path):
             raise ValidationError(
                 f"{path}: config {sid!r} needs chatter_band_hz as two numbers, got {band!r}"
             )
-        configs[sid] = CuttingConfig(sid, tuple(band))
+        try:
+            configs[sid] = CuttingConfig(sid, tuple(band))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     return Manifest(records, configs)
 
 

@@ -240,6 +240,30 @@ class TestTrainAndEvaluate:
         report = json.loads(open(record["output"]).read())
         assert report["n_realizations"] == 2
 
+    def test_classifier_spellings_give_one_report(self, corpus, capsys, tmp_path):
+        _, manifest = corpus
+        reports = []
+        for name in ("logistic", "logreg"):
+            code, out, _ = run(
+                capsys, "evaluate-within", "--manifest", str(manifest),
+                "--stickout", "synth", "--method", "wpt", "--level", "3",
+                "--classifier", name, "--realizations", "2", "--out", str(tmp_path),
+            )
+            assert code == 0
+            path = Path(json.loads(out)["output"])
+            assert path.name == f"within_synth_wpt_{name}.json"
+            reports.append(path.read_text())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["spec"]["classifier"] == "logistic"
+
+    def test_unknown_classifier_is_a_usage_error(self, corpus, capsys, tmp_path):
+        _, manifest = corpus
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate-within", "--manifest", str(manifest), "--stickout", "synth",
+                  "--method", "wpt", "--classifier", "perceptron", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'perceptron'" in capsys.readouterr().err
+
     def test_report_reemission(self, corpus, capsys, tmp_path):
         tmp, manifest = corpus
         _, out, _ = run(
@@ -349,7 +373,9 @@ class TestErrorContract:
          ' "sample_rate_hz": "fast"}]', "ValidationError", "record 0"),
         *[('[{"signal_path": "s.csv", "label_path": "l.csv", "stickout_id": "x",'
            f' "sample_rate_hz": {rate}}}]', "ValidationError", "record 0: sample_rate_hz")
-          for rate in ("NaN", "Infinity", "0", "-5")],
+          for rate in ("NaN", "Infinity", "0", "-5", "true")],
+        ('{"records": [], "configs": {"x": {"chatter_band_hz": [900, Infinity]}}}',
+         "ValidationError", "stickout 'x': chatter band"),
     ])
     def test_bad_manifest_exit_1(self, tmp_path, capsys, text, error, fragment):
         manifest = tmp_path / "manifest.json"
@@ -380,6 +406,26 @@ class TestErrorContract:
         record = error_record(err)
         assert record["error"] == "DomainError"
         assert "must be finite and positive" in record["message"]
+
+    @pytest.mark.parametrize("name, text, fragment", [
+        # a 0.5 ms chatter interval holds 5 samples, fewer than a level-4 tree needs
+        ("labels_03.csv", "start_s,end_s,label\n0.0,0.2,chatter\n0.2,0.2005,chatter\n",
+         "file 'file03' interval 1: series of length 5 too short for level 4"),
+        ("signal_03.csv", "0.0\n" * 3000,
+         "file 'file03' interval 0: energy ratios undefined for the all-zero signal"),
+    ], ids=["short-interval", "all-zero-signal"])
+    def test_wpt_preparation_error_names_the_interval(self, capsys, tmp_path, name, text,
+                                                      fragment):
+        manifest = write_corpus_files(tmp_path, make_segments(seed=0, n_stable=2, n_chatter=2))
+        (tmp_path / name).write_text(text)
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--level", "4", "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "DomainError"
+        assert record["message"] == fragment
 
     @pytest.mark.parametrize("level", ["-1", "0", "5"])
     def test_bad_level_exit_1(self, corpus, capsys, tmp_path, level):

@@ -555,3 +555,5 @@ class TestEemd:
             EemdParams(noise_std_fraction=-0.1)
         with pytest.raises(ValidationError):
             EemdParams(max_imfs=0)
+        with pytest.raises(ValidationError, match="master_seed must be non-negative, got -1"):
+            EemdParams(master_seed=-1)

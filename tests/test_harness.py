@@ -84,6 +84,10 @@ class TestExperimentSpec:
         with pytest.raises(ValidationError, match="n_realizations"):
             run_spec(n_realizations=count)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValidationError, match="master_seed must be non-negative, got -1"):
+            run_spec(master_seed=-1)
+
     def test_combined_requires_four_distinct(self, wpt_prepared):
         a, b, c = (renamed(wpt_prepared, sid) for sid in "abc")
         with pytest.raises(ValidationError, match="distinct"):
@@ -417,17 +421,20 @@ class TestSpecAgreement:
 
     def test_method(self, wpt_prepared, eemd_prepared):
         with pytest.raises(ValidationError,
-                           match="'b' was prepared with method 'eemd', but stickout 'synth' with 'wpt'"):
+                           match="'b' was prepared with eemd .*, but stickout 'synth' with wpt"):
             run_transfer(run_spec(), wpt_prepared, renamed(eemd_prepared, "b"))
 
     def test_level(self, wpt_prepared):
-        with pytest.raises(ValidationError, match="level 4, but stickout 'synth' with 3"):
-            run_transfer(run_spec(), wpt_prepared, renamed(wpt_prepared, "b", level=4))
+        with pytest.raises(ValidationError,
+                           match="'level': 4}, but stickout 'synth' with wpt {'level': 3}"):
+            run_transfer(run_spec(), wpt_prepared,
+                         renamed(wpt_prepared, "b", params={"level": 4}))
 
     def test_window_len(self, eemd_prepared):
         a, b, c = (renamed(eemd_prepared, sid) for sid in "abc")
-        d = renamed(eemd_prepared, "d", window_len=500)
-        with pytest.raises(ValidationError, match="window_len 500, but stickout 'a' with 1000"):
+        d = renamed(eemd_prepared, "d", params={"window_len": 500})
+        with pytest.raises(ValidationError,
+                           match="'window_len': 500}, but stickout 'a' with eemd {'window_len': 1000}"):
             run_transfer_combined(run_spec(), [a, b], [c, d])
 
     def test_within_stickout(self, wpt_prepared):

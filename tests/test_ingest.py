@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import chatterdetect
 from chatterdetect import (
+    CuttingConfig,
     DomainError,
     Label,
     LabelInterval,
@@ -21,6 +22,7 @@ from chatterdetect import (
     design_lowpass,
     filter_and_downsample,
     load_labels,
+    load_manifest,
     load_timeseries,
     window_segments,
 )
@@ -354,6 +356,29 @@ def test_rate_must_be_finite_and_positive(tmp_path, rate):
         load_timeseries(write(tmp_path, "1.0\n2.0\n"), rate)
     with pytest.raises(DomainError, match=match):
         filter_and_downsample(TimeSeries(np.ones(4), 1000), design_lowpass(0, 100, 1000), rate)
+
+
+@pytest.mark.parametrize("band", [(900.0, float("inf")), (900.0, float("nan")),
+                                  (float("-inf"), 1000.0)])
+def test_chatter_band_must_be_finite(band):
+    with pytest.raises(ValidationError, match="stickout 'x': chatter band"):
+        CuttingConfig("x", band)
+
+
+class TestManifestValues:
+    def test_infinite_band_edge_rejected(self, tmp_path):
+        path = write(tmp_path, '{"configs": {"x": {"chatter_band_hz": [900, Infinity]}}}',
+                     "manifest.json")
+        with pytest.raises(ValidationError, match="stickout 'x': chatter band") as exc:
+            load_manifest(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_boolean_sample_rate_rejected(self, tmp_path):
+        path = write(tmp_path, '[{"signal_path": "s.csv", "label_path": "l.csv",'
+                               ' "stickout_id": "x", "sample_rate_hz": true}]', "manifest.json")
+        with pytest.raises(ValidationError,
+                           match="record 0: sample_rate_hz must be a number, got True"):
+            load_manifest(path)
 
 
 class TestFilterAndDownsample:

@@ -20,7 +20,7 @@ from chatterdetect import (
     train_logistic,
     train_svm,
 )
-from chatterdetect.ml import CLASSIFIER_ALIASES, _best_split, _impurity_gains, _sse_gains
+from chatterdetect.ml import CLASSIFIERS, _best_split, _impurity_gains, _sse_gains
 
 
 def blobs(seed=0, n_per=50, d=4, gap=4.0):
@@ -587,13 +587,13 @@ class TestRfe:
 class TestMakeTrainer:
     def test_aliases(self):
         X, y = blobs(n_per=10)
-        for name in ("svm", "logistic", "logreg", "forest", "boosting", "boost"):
+        for name in CLASSIFIERS:
             model = make_trainer(name, seed=0)(X, y)
             assert model.predict(X).shape == y.shape
 
     def test_aliases_name_the_same_trainer(self):
         X, y = blobs(n_per=10)
-        for alias, name in CLASSIFIER_ALIASES.items():
+        for alias, name in CLASSIFIERS.items():
             a, b = make_trainer(alias, seed=1)(X, y), make_trainer(name, seed=1)(X, y)
             assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
