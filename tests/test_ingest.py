@@ -1,18 +1,20 @@
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chatterdetect
 from chatterdetect import (
     CuttingConfig,
     DomainError,
+    FilterCascade,
     Label,
     LabelInterval,
     ParseError,
@@ -26,6 +28,7 @@ from chatterdetect import (
     load_timeseries,
     window_segments,
 )
+from chatterdetect import ingest
 from chatterdetect.ingest import _scan_timeseries
 
 
@@ -331,6 +334,47 @@ class TestDesignLowpass:
         dc_gain = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
         assert abs(dc_gain - 1) <= 1e-6
 
+    @settings(deadline=None, max_examples=300)
+    @given(order=st.integers(1, 100).map(lambda k: 2 * k),
+           rate=st.floats(1e-3, 1e9), fraction=st.floats(0, 1, exclude_min=True,
+                                                         exclude_max=True))
+    @example(order=2, rate=4.0, fraction=5e-324)       # the cutoff underflows to 0
+    @example(order=6, rate=2.0, fraction=5e-324)       # the poles reach the real axis
+    @example(order=56, rate=174353.0, fraction=87176 / 87176.5)  # the gain overflows
+    @example(order=100, rate=160000.0, fraction=4500 / 80000)
+    @example(order=74, rate=1.0, fraction=0.5)  # a pole on the imaginary axis: a1 = +0.0
+    @example(order=300, rate=160000.0, fraction=4500 / 80000)   # DC gain 1.33
+    def test_sections_equal_butter(self, order, rate, fraction):
+        cutoff = fraction * (rate / 2)
+        assume(0 < cutoff < rate / 2)
+        expected = butter_or_none(order, cutoff, rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sos = design_lowpass(order, cutoff, rate).sos
+            except DomainError:
+                sos = None
+        if expected is None:
+            assert sos is None
+        else:
+            assert sos is not None and sos.tobytes() == expected.tobytes()
+
+
+def butter_or_none(order, cutoff, rate):
+    """scipy's design for `design_lowpass`, or None where it must refuse: butter
+    raises, a section is not finite, or the DC gain is off 1 by more than 1e-6."""
+    from scipy.signal import butter
+
+    with np.errstate(all="ignore"):
+        try:
+            sos = butter(order, cutoff, btype="low", fs=rate, output="sos")
+        except (ValueError, OverflowError):
+            return None
+        dc_gain = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
+    if not (np.isfinite(sos).all() and abs(dc_gain - 1) <= 1e-6):
+        return None
+    return sos
+
 
 def test_scipy_signal_loads_only_to_filter():
     code = (
@@ -338,13 +382,15 @@ def test_scipy_signal_loads_only_to_filter():
         "sys.path.insert(0, sys.argv[1])\n"
         "import chatterdetect, chatterdetect.cli\n"
         "before = 'scipy.signal' in sys.modules\n"
-        "chatterdetect.design_lowpass(2, 100, 1000).apply([1.0, 2.0, 3.0])\n"
-        "print(before, 'scipy.signal' in sys.modules)\n"
+        "filt = chatterdetect.design_lowpass(100, 4500, 160000)\n"
+        "designed = 'scipy.signal' in sys.modules\n"
+        "filt.apply([1.0, 2.0, 3.0])\n"
+        "print(before, designed, 'scipy.signal' in sys.modules)\n"
     )
     src = Path(chatterdetect.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -5.0])
@@ -378,6 +424,16 @@ class TestManifestValues:
                                ' "stickout_id": "x", "sample_rate_hz": true}]', "manifest.json")
         with pytest.raises(ValidationError,
                            match="record 0: sample_rate_hz must be a number, got True"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("rate, shown", [('"1e4"', "'1e4'"), ("null", "None"),
+                                             ("[10000]", r"\[10000\]")])
+    def test_non_numeric_sample_rate_rejected(self, tmp_path, rate, shown):
+        path = write(tmp_path, '[{"signal_path": "s.csv", "label_path": "l.csv",'
+                               f' "stickout_id": "x", "sample_rate_hz": {rate}}}]',
+                     "manifest.json")
+        with pytest.raises(ValidationError,
+                           match=f"record 0: sample_rate_hz must be a number, got {shown}$"):
             load_manifest(path)
 
 
@@ -419,6 +475,148 @@ class TestFilterAndDownsample:
         spectrum = np.abs(np.fft.rfft(filtered)) ** 2
         freqs = np.arange(spectrum.size) * fs / filtered.size
         assert spectrum[freqs > target / 2].sum() / spectrum.sum() < 1e-4
+
+
+BLOCK = ingest._BLOCK
+THRESHOLD = ingest._MIN_BLOCKS * BLOCK  # the shortest signal apply pipelines
+MIN_SECTIONS = ingest._MIN_SECTIONS  # the shortest cascade apply pipelines
+
+
+def random_sections(rng, n_sections):
+    """Stable second-order sections with random zeros and poles."""
+    radius = rng.uniform(0, 0.99, n_sections)
+    angle = rng.uniform(0, np.pi, n_sections)
+    sos = np.ones((n_sections, 6))
+    sos[:, :3] = rng.standard_normal((n_sections, 3))
+    sos[:, 4] = -2 * radius * np.cos(angle)
+    sos[:, 5] = radius**2
+    return FilterCascade(sos)
+
+
+class SpySosfilt:
+    """scipy's sosfilt, recording the thread of each call; `fail_on(call)`
+    says whether a call, given as (thread, number of calls before), raises."""
+
+    def __init__(self, fail_on=lambda call: False):
+        from scipy.signal import sosfilt
+
+        self.sosfilt, self.fail_on, self.calls = sosfilt, fail_on, []
+
+    def __call__(self, *args, **kwargs):
+        call = (threading.current_thread(), len(self.calls))
+        self.calls.append(call[0])
+        if self.fail_on(call):
+            raise RuntimeError(f"sosfilt failed in {call[0].name}")
+        return self.sosfilt(*args, **kwargs)
+
+    def workers(self):
+        return {t for t in self.calls if t is not threading.main_thread()}
+
+
+def spied_apply(filt, x, spy, cpus=2):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("scipy.signal.sosfilt", spy)
+        mp.setattr(ingest, "_usable_cpus", lambda: cpus)
+        return filt.apply(x)
+
+
+class TestFilterPipeline:
+    """FilterCascade.apply splits long signals across two threads; its output
+    must stay bitwise equal to one sosfilt call, and its thread must not
+    outlive the call."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n_sections=st.integers(1, 60),
+           length=st.sampled_from([THRESHOLD + d for d in (-1, 0, 1)]
+                                  + [k * BLOCK + d for k in (5, 7) for d in (-1, 0, 1)]))
+    @example(seed=0, n_sections=1, length=THRESHOLD + 1)
+    @example(seed=0, n_sections=MIN_SECTIONS - 1, length=7 * BLOCK + 1)
+    @example(seed=0, n_sections=MIN_SECTIONS, length=THRESHOLD)
+    @example(seed=0, n_sections=MIN_SECTIONS, length=THRESHOLD - 1)
+    @example(seed=0, n_sections=60, length=7 * BLOCK + 1)
+    def test_equals_one_sosfilt_call(self, seed, n_sections, length):
+        from scipy.signal import sosfilt
+
+        rng = np.random.default_rng(seed)
+        filt = random_sections(rng, n_sections)
+        x = rng.standard_normal(length)
+        spy = SpySosfilt()
+        out = spied_apply(filt, x, spy)
+        assert out.tobytes() == sosfilt(filt.sos, x).tobytes()
+        pipelined = length >= THRESHOLD and n_sections >= MIN_SECTIONS
+        n_blocks = -(-length // BLOCK)
+        assert len(spy.calls) == (2 * n_blocks if pipelined else 1)
+        assert len(spy.workers()) == int(pipelined)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.longdouble])
+    def test_wider_sections_make_one_call(self, dtype):
+        # a float64 pipeline would cast the head half's output down
+        rng = np.random.default_rng(0)
+        sos = random_sections(rng, 50).sos.astype(dtype)
+        if np.iscomplexobj(sos):
+            sos[:, :3] += 1j * rng.standard_normal((50, 3))
+        x = rng.standard_normal(5 * BLOCK)
+        spy = SpySosfilt()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = spied_apply(FilterCascade(sos), x, spy)
+        expected = spy.sosfilt(sos, x)
+        assert out.dtype == expected.dtype == dtype
+        assert np.array_equal(out, expected)  # not tobytes: longdouble has padding
+        assert spy.calls == [threading.main_thread()]
+
+    def test_one_cpu_makes_one_call(self):
+        filt = design_lowpass(100, 4500, 160000)
+        spy = SpySosfilt()
+        spied_apply(filt, np.ones(8 * BLOCK), spy, cpus=1)
+        assert spy.calls == [threading.main_thread()]
+
+    def test_no_thread_outlives_apply(self):
+        spy = SpySosfilt()
+        spied_apply(design_lowpass(100, 4500, 160000), np.ones(5 * BLOCK), spy)
+        (worker,) = spy.workers()
+        assert not worker.is_alive()
+
+    def test_worker_exception_reaches_the_caller(self):
+        spy = SpySosfilt(lambda call: call[0] is not threading.main_thread() and call[1] >= 2)
+        with pytest.raises(RuntimeError, match="sosfilt failed in FilterCascade.apply"):
+            spied_apply(design_lowpass(100, 4500, 160000), np.ones(5 * BLOCK), spy)
+        (worker,) = spy.workers()
+        assert not worker.is_alive()
+
+    def test_caller_exception_joins_the_worker(self):
+        spy = SpySosfilt(lambda call: call[0] is threading.main_thread())
+        with pytest.raises(RuntimeError, match="sosfilt failed in MainThread"):
+            spied_apply(design_lowpass(100, 4500, 160000), np.ones(5 * BLOCK), spy)
+        (worker,) = spy.workers()
+        assert not worker.is_alive()
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # four callers and their four workers on fewer cores, switching often:
+        # a block read before its head half is written would change the bits
+        from scipy.signal import sosfilt
+
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+        filt = design_lowpass(100, 4500, 160000)
+        signals = [np.random.default_rng(i).standard_normal(5 * BLOCK + i) for i in range(4)]
+        outs = [None] * len(signals)
+
+        def run(i):
+            outs[i] = filt.apply(signals[i])
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(signals))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for x, out in zip(signals, outs):
+            assert out.tobytes() == sosfilt(filt.sos, x).tobytes()
 
 
 class TestCutSegments:
