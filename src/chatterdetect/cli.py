@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import harness
 from .emd import EemdParams, eemd
-from .errors import ChatterDetectError, DomainError, ValidationError
+from .errors import ChatterDetectError, DomainError, ParseError, ValidationError
 from .ingest import (
     design_lowpass,
     filter_and_downsample,
@@ -109,11 +110,10 @@ def _parse_args(parser, argv):
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            values = json.load(fh)
-        except ValueError as exc:
-            parser.error(f"--config {args.config}: {exc}")
+    try:
+        values = read_json(args.config)
+    except ParseError as exc:
+        parser.error(f"--config {exc}")
     if not isinstance(values, dict):
         parser.error(f"--config {args.config}: expected a JSON object")
     tokens = []
@@ -139,6 +139,12 @@ def _eemd_params(args):
     )
 
 
+def _out_path(args, name):
+    """--out itself, or the file `name` inside it when it is a directory."""
+    path = Path(args.out)
+    return path / name if path.is_dir() else path
+
+
 def _cmd_preprocess(args):
     ts = load_timeseries(args.input, args.sample_rate)
     filt = design_lowpass(args.filter_order, args.cutoff, args.sample_rate)
@@ -146,9 +152,7 @@ def _cmd_preprocess(args):
         out = filter_and_downsample(ts, filt, args.target_rate)
     except DomainError as exc:
         raise DomainError(f"{args.input}: {exc}") from None
-    path = Path(args.out)
-    if path.is_dir():
-        path = path / (Path(args.input).stem + "_preprocessed.csv")
+    path = _out_path(args, Path(args.input).stem + "_preprocessed.csv")
     # one %-format over all rows; the same bytes as np.savetxt, which
     # formats row by row
     values = out.samples.tolist()
@@ -159,11 +163,9 @@ def _cmd_preprocess(args):
 
 def _cmd_decompose(args):
     ts = load_timeseries(args.input, args.sample_rate)
-    path = Path(args.out)
     if args.method == "wpt":
         tree = wpt_decompose(ts, args.level)
-        if path.is_dir():
-            path = path / (Path(args.input).stem + "_packets.csv")
+        path = _out_path(args, Path(args.input).stem + "_packets.csv")
         with open(path, "w", encoding="utf-8") as fh:
             for level in range(1, args.level + 1):
                 for j in range(1, 2**level + 1):
@@ -171,8 +173,7 @@ def _cmd_decompose(args):
                     fh.write(f"{level},{j},{coeffs}\n")
     else:
         imfs = eemd(ts.samples, _eemd_params(args))
-        if path.is_dir():
-            path = path / (Path(args.input).stem + "_imfs.csv")
+        path = _out_path(args, Path(args.input).stem + "_imfs.csv")
         cols = [np.asarray(c) for c in imfs.imfs] + [imfs.residue]
         header = ",".join([f"imf{i + 1}" for i in range(imfs.n_imfs)] + ["residue"])
         np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
@@ -203,9 +204,7 @@ def _select_all(args):
 def _cmd_select(args):
     _, selection = _select_all(args)
     record = {"stickout_id": args.stickout, "method": args.method, **selection}
-    path = Path(args.out)
-    if path.is_dir():
-        path = path / f"selection_{args.stickout}_{args.method}.json"
+    path = _out_path(args, f"selection_{args.stickout}_{args.method}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
     print(json.dumps({"output": str(path), "index": selection["index"]}))
@@ -214,9 +213,7 @@ def _cmd_select(args):
 def _cmd_features(args):
     prepared, selection = _select_all(args)
     X = prepared.feature_rows(range(len(prepared.samples)), selection)
-    path = Path(args.out)
-    if path.is_dir():
-        path = path / f"features_{args.stickout}_{args.method}.csv"
+    path = _out_path(args, f"features_{args.stickout}_{args.method}.csv")
     header = ",".join(list(harness.FEATURE_NAMES[args.method]) + ["label"])
     np.savetxt(path, np.column_stack([X, prepared.labels]), delimiter=",",
                header=header, comments="")
@@ -227,7 +224,8 @@ def _cmd_train(args):
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # an empty file warns, then fails
         try:
-            table = np.genfromtxt(args.features, delimiter=",", names=True)
+            table = np.genfromtxt(args.features, delimiter=",", names=True,
+                                  encoding="utf-8-sig")
         except (UserWarning, ValueError) as exc:  # empty, or rows of unequal length
             raise ValidationError(f"{args.features}: not a feature table: {exc}") from None
     names = list(table.dtype.names or ())
@@ -245,9 +243,7 @@ def _cmd_train(args):
     y = labels.astype(int)
     X = np.column_stack([table[c] for c in names if c != "label"])
     model = make_trainer(args.classifier, seed=args.seed)(X, y)
-    path = Path(args.out)
-    if path.is_dir():
-        path = path / f"model_{args.classifier}.json"
+    path = _out_path(args, f"model_{CLASSIFIERS[args.classifier]}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model.to_dict(), fh)
     train_acc = float(np.mean(model.predict(X) == y))
@@ -259,31 +255,32 @@ def _spec(args):
                                   args.grouped_split)
 
 
+def _emit(args, report, tag):
+    """Write the report into --out as `<tag>_<method>_<classifier>`, under
+    the names its spec carries, and print its path and best row."""
+    spec = report.spec
+    path = harness.emit_report(report, args.out,
+                               f"{tag}_{spec['method']}_{spec['classifier']}")
+    print(json.dumps({"output": str(path), "best": report.best_row()}))
+
+
 def _cmd_evaluate_within(args):
     spec = _spec(args)
     [prepared] = _prepare(args, [args.stickout])
-    report = harness.run_within(spec, prepared)
-    path = harness.emit_report(
-        report, args.out, f"within_{args.stickout}_{args.method}_{args.classifier}"
-    )
-    print(json.dumps({"output": str(path), "best": report.best_row()}))
+    _emit(args, harness.run_within(spec, prepared), f"within_{args.stickout}")
 
 
 def _cmd_evaluate_transfer(args):
     combined = len(args.train_config) == 2
     harness.check_transfer_configs(args.train_config, args.test_config, combined)
     spec = _spec(args)
+    prepared = _prepare(args, args.train_config + args.test_config)
     if combined:
-        prepared = _prepare(args, args.train_config + args.test_config)
         report = harness.run_transfer_combined(spec, prepared[:2], prepared[2:])
     else:
-        train, test = _prepare(args, [args.train_config[0], args.test_config[0]])
-        report = harness.run_transfer(spec, train, test)
-    tag = "-".join(args.train_config) + "_to_" + "-".join(args.test_config)
-    path = harness.emit_report(
-        report, args.out, f"transfer_{tag}_{args.method}_{args.classifier}"
-    )
-    print(json.dumps({"output": str(path), "best": report.best_row()}))
+        report = harness.run_transfer(spec, *prepared)
+    _emit(args, report,
+          "transfer_" + "-".join(args.train_config) + "_to_" + "-".join(args.test_config))
 
 
 def _cmd_report(args):
@@ -320,14 +317,13 @@ def main(argv=None):
         if getattr(args, "seed", 0) < 0:  # numpy's seed sequences take no negative entropy
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         _COMMANDS[args.command](args)
-    except ChatterDetectError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": "IOError", "message": str(exc)}) + "\n")
-        return 2
+    except Exception as exc:  # one JSON record: package error 1, I/O error 2, other fault 3
+        code = 1 if isinstance(exc, ChatterDetectError) else 2 if isinstance(exc, OSError) else 3
+        record = {"error": "IOError" if code == 2 else type(exc).__name__, "message": str(exc)}
+        if code == 3:  # a fault of the program: keep where it happened
+            record["traceback"] = traceback.format_exc()
+        sys.stderr.write(json.dumps(record) + "\n")
+        return code
     return 0
 
 

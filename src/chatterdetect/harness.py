@@ -34,6 +34,7 @@ from .features import (
 from .ingest import (
     CuttingConfig,
     cut_segments,
+    json_float,
     load_labels,
     load_timeseries,
     window_segments,
@@ -308,9 +309,7 @@ class ExperimentReport:
             if not isinstance(row, dict):
                 raise ValidationError(f"report key 'per_k[{i}]' holds {row!r}, not an object")
             for key in ("k", "mean_test", "std_test", "mean_train", "std_train"):
-                if type(row[key]) not in (int, float):  # bool and None are not numbers
-                    raise ValidationError(
-                        f"report key 'per_k[{i}].{key}' holds {row[key]!r}, not a number")
+                json_float(row[key], f"report key 'per_k[{i}].{key}'")
         return cls(d["spec"], tuple(d["feature_names"]), d["per_k"], d["realizations"],
                    d["n_realizations"])
 

@@ -240,14 +240,16 @@ def _parse_float(token, path, line_number, what):
 
 
 def _read_lines(path):
-    """The file's lines as text-mode reading splits them (universal newlines).
+    """The file's lines as text-mode reading splits them (universal newlines),
+    without a leading byte-order mark.
 
     A byte sequence that is not UTF-8 is a ParseError naming the file and line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        # decoded with the mark, so the error's byte offset counts from the file's start
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise ParseError(
@@ -260,10 +262,31 @@ def _read_lines(path):
 
 def read_json(path):
     """A UTF-8 JSON file's document; a ParseError names the line of bad input."""
+    text = "\n".join(_read_lines(path))
     try:
-        return json.loads("\n".join(_read_lines(path)))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg}", exc.lineno, path) from None
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise ParseError(f"not valid JSON: {exc}", None, path) from None
+
+
+def json_float(value, what):
+    """A number read from JSON as a finite float.
+
+    A bool, string, null or other non-number, an integer too large for a
+    float and a non-finite value are a ValidationError naming `what`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{what} must be finite, got an integer beyond the float range") from None
+    if not isfinite(number):
+        raise ValidationError(f"{what} must be finite, got {number}")
+    return number
 
 
 def _tokens(line):
@@ -286,12 +309,12 @@ def _read_rows(path):
     """Numeric rows from numpy's C reader, or None when it refuses the file or
     the rows are not 1 or 2 finite columns; the line scan then decides."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # -sig: drop a byte-order mark
             header = _is_header(_tokens(fh.readline()))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                              encoding="utf-8", skiprows=int(header))
+                              encoding="utf-8-sig", skiprows=int(header))
     except ValueError:  # a token it cannot parse, a ragged row or bad UTF-8
         return None
     if rows.shape[0] == 0 or rows.shape[1] not in (1, 2) or not np.isfinite(rows).all():
@@ -441,12 +464,9 @@ def load_manifest(path):
         try:
             signal_path = str((path.parent / rec["signal_path"]).resolve())
             label_path = str((path.parent / rec["label_path"]).resolve())
-            rate = rec.get("sample_rate_hz", 10000.0)
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-                raise TypeError(f"sample_rate_hz must be a number, got {rate!r}")
-            rate = float(rate)
-            if not 0 < rate < inf:
-                raise ValueError(f"sample_rate_hz must be finite and positive, got {rate}")
+            rate = json_float(rec.get("sample_rate_hz", 10000.0), "sample_rate_hz")
+            if rate <= 0:
+                raise ValueError(f"sample_rate_hz must be positive, got {rate}")
             records.append(
                 ManifestRecord(
                     signal_path=signal_path,
@@ -468,16 +488,13 @@ def load_manifest(path):
     configs = {}
     for sid, spec in raw_configs.items():
         band = spec.get("chatter_band_hz") if isinstance(spec, dict) else None
-        if not (
-            isinstance(band, list)
-            and len(band) == 2
-            and all(isinstance(f, (int, float)) and not isinstance(f, bool) for f in band)
-        ):
+        if not (isinstance(band, list) and len(band) == 2):
             raise ValidationError(
                 f"{path}: config {sid!r} needs chatter_band_hz as two numbers, got {band!r}"
             )
         try:
-            configs[sid] = CuttingConfig(sid, tuple(band))
+            edges = tuple(json_float(f, f"stickout {sid!r}: chatter band edge") for f in band)
+            configs[sid] = CuttingConfig(sid, edges)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
     return Manifest(records, configs)

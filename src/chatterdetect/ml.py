@@ -146,13 +146,11 @@ def train_svm(X, y, tol=1e-4, max_passes=20000, standardize=True):
     n, d = Z.shape
     A = np.column_stack([Z, np.ones(n)])  # augmented bias column
     s = np.where(y == 1, 1.0, -1.0)
-    q = np.einsum("ij,ij->i", A, A)
+    q = np.einsum("ij,ij->i", A, A)  # >= 1 through the bias column
     alpha = np.zeros(n)
     w = np.zeros(d + 1)
     for passes in range(1, max_passes + 1):
         for i in range(n):
-            if q[i] == 0.0:
-                continue
             g = s[i] * (A[i] @ w) - 1.0
             a_new = min(max(alpha[i] - g / q[i], 0.0), 1.0)
             delta = a_new - alpha[i]

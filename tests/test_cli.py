@@ -6,7 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chatterdetect import design_lowpass, filter_and_downsample, load_timeseries
+from chatterdetect import (
+    ExperimentSpec,
+    design_lowpass,
+    filter_and_downsample,
+    harness,
+    load_manifest,
+    load_timeseries,
+    run_transfer,
+    run_transfer_combined,
+)
+from chatterdetect import cli
 from chatterdetect.cli import main
 from synthetic_corpus import FS, make_segments, write_corpus_files
 
@@ -251,10 +261,30 @@ class TestTrainAndEvaluate:
             )
             assert code == 0
             path = Path(json.loads(out)["output"])
-            assert path.name == f"within_synth_wpt_{name}.json"
+            assert path.name == "within_synth_wpt_logistic.json"  # the report name
             reports.append(path.read_text())
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["spec"]["classifier"] == "logistic"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"within_synth_wpt_logistic.{ext}" for ext in ("csv", "json", "txt")]
+
+    @pytest.mark.parametrize("name, report_name", [("logreg", "logistic"),
+                                                    ("boost", "boosting")])
+    def test_model_file_carries_the_report_name(self, capsys, tmp_path, name, report_name):
+        features = tmp_path / "features.csv"
+        features.write_text("x,label\n0.0,0\n0.1,0\n1.0,1\n1.1,1\n")
+        code, out, _ = run(capsys, "train", "--features", str(features),
+                           "--classifier", name, "--out", str(tmp_path))
+        assert code == 0
+        assert Path(json.loads(out)["output"]) == tmp_path / f"model_{report_name}.json"
+
+    def test_train_reads_past_a_byte_order_mark(self, capsys, tmp_path):
+        features = tmp_path / "features.csv"
+        features.write_bytes(b"\xef\xbb\xbflabel,x\n0,0.0\n0,0.1\n1,1.0\n1,1.1\n")
+        code, out, _ = run(capsys, "train", "--features", str(features),
+                           "--classifier", "svm", "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["train_accuracy"] == 1.0
 
     def test_unknown_classifier_is_a_usage_error(self, corpus, capsys, tmp_path):
         _, manifest = corpus
@@ -343,6 +373,17 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_byte_order_mark_accepted(self, corpus, capsys, tmp_path):
+        _, manifest = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"level": 3}).encode())
+        code, out, _ = run(
+            capsys, "select", "--config", str(cfg), "--manifest", str(manifest),
+            "--stickout", "synth", "--method", "wpt", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert json.loads(open(json.loads(out)["output"]).read())["level"] == 3
+
     def test_abbreviated_flag_beats_config(self, corpus, capsys, tmp_path):
         tmp, manifest = corpus
         cfg = tmp_path / "cfg.json"
@@ -355,6 +396,83 @@ class TestConfigFile:
         assert code == 0
         stored = json.loads(open(json.loads(out)["output"]).read())
         assert stored["level"] == 2
+
+
+def stickouts_manifest(tmp_path, stickouts):
+    """One manifest over several stickouts, each a small synthetic corpus in
+    a folder of its own, with file ids of its own."""
+    records, configs = [], {}
+    for seed, sid in enumerate(stickouts):
+        folder = tmp_path / sid
+        folder.mkdir()
+        segments = make_segments(seed=seed, n_stable=4, n_chatter=4)
+        doc = json.loads(write_corpus_files(folder, segments, sid).read_text())
+        for rec in doc["records"]:
+            rec["signal_path"] = f"{sid}/{rec['signal_path']}"
+            rec["label_path"] = f"{sid}/{rec['label_path']}"
+            rec["file_id"] = f"{sid}-{rec['file_id']}"
+        records += doc["records"]
+        configs.update(doc["configs"])
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"records": records, "configs": configs}))
+    return path
+
+
+class TestEvaluateTransfer:
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        return stickouts_manifest(tmp_path_factory.mktemp("stickouts"), ["A", "B", "C", "D"])
+
+    def expected(self, manifest, train, test, grouped_split=False):
+        loaded = load_manifest(manifest)
+        prepared = [harness.prepare_from_manifest(loaded, sid, "wpt", level=3)
+                    for sid in train + test]
+        spec = ExperimentSpec("logistic", 2, 1, grouped_split)
+        if len(train) == 2:
+            return run_transfer_combined(spec, prepared[:2], prepared[2:]).to_dict()
+        return run_transfer(spec, *prepared).to_dict()
+
+    @pytest.mark.parametrize("train, test", [(["A"], ["B"]), (["A", "B"], ["C", "D"])],
+                             ids=["one-to-one", "two-to-two"])
+    def test_report_equals_the_harness_run(self, manifest, capsys, tmp_path, train, test):
+        code, out, _ = run(
+            capsys, "evaluate-transfer", "--manifest", str(manifest),
+            "--train-config", *train, "--test-config", *test, "--method", "wpt",
+            "--level", "3", "--classifier", "logreg", "--realizations", "2", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        path = Path(json.loads(out)["output"])
+        tag = "-".join(train) + "_to_" + "-".join(test)
+        assert path == tmp_path / f"transfer_{tag}_wpt_logistic.json"
+        report = json.loads(path.read_text())
+        assert report == json.loads(json.dumps(self.expected(manifest, train, test)))
+
+    def test_config_list_value_and_switch(self, manifest, capsys, tmp_path):
+        # the list feeds --train-config, which the command line's own flag
+        # then overrides; the true switch turns on the grouped split
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train-config": ["C", "D"], "grouped-split": True}))
+        code, out, _ = run(
+            capsys, "evaluate-transfer", "--config", str(cfg), "--manifest", str(manifest),
+            "--train-config", "A", "--test-config", "B", "--method", "wpt", "--level", "3",
+            "--classifier", "logistic", "--realizations", "2", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        report = json.loads(Path(json.loads(out)["output"]).read_text())
+        expected = self.expected(manifest, ["A"], ["B"], grouped_split=True)
+        assert report == json.loads(json.dumps(expected))
+
+    def test_empty_config_list_is_a_usage_error(self, manifest, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train-config": []}))
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate-transfer", "--config", str(cfg), "--manifest", str(manifest),
+                  "--train-config", "A", "--test-config", "B", "--method", "wpt",
+                  "--classifier", "svm", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--train-config: expected at least one argument" in capsys.readouterr().err
 
 
 def error_record(err):
@@ -376,6 +494,13 @@ class TestErrorContract:
           for rate in ("NaN", "Infinity", "0", "-5", "true")],
         ('{"records": [], "configs": {"x": {"chatter_band_hz": [900, Infinity]}}}',
          "ValidationError", "stickout 'x': chatter band"),
+        # integers beyond the float range
+        pytest.param('[{"signal_path": "s.csv", "label_path": "l.csv", "stickout_id": "x",'
+                     f' "sample_rate_hz": 1{"0" * 400}}}]', "ValidationError",
+                     "record 0: sample_rate_hz must be finite", id="huge-sample-rate"),
+        pytest.param(f'{{"configs": {{"x": {{"chatter_band_hz": [900, 1{"0" * 400}]}}}}}}',
+                     "ValidationError", "stickout 'x': chatter band edge must be finite",
+                     id="huge-band-edge"),
     ])
     def test_bad_manifest_exit_1(self, tmp_path, capsys, text, error, fragment):
         manifest = tmp_path / "manifest.json"
@@ -597,6 +722,17 @@ class TestErrorContract:
          b'"n_realizations": 1}', "ValidationError", "'spec'"),
         (b'{"per_k": [3], "spec": {}, "feature_names": [], "realizations": [], '
          b'"n_realizations": 1}', "ValidationError", "'per_k[0]'"),
+        *[pytest.param(
+            b'{"spec": {"method": "wpt", "classifier": "svm", "mode": "within"}, '
+            b'"feature_names": ["a"], "realizations": [], "n_realizations": 1, '
+            b'"per_k": [{"k": 1, "mean_test": ' + value + b', "std_test": 0.0, '
+            b'"mean_train": 1.0, "std_train": 0.0}]}', error, fragment, id=name)
+          for name, value, error, fragment in [
+              ("huge-per-k", b"1" + b"0" * 400, "ValidationError",
+               "'per_k[0].mean_test' must be finite"),
+              ("nan-per-k", b"NaN", "ValidationError", "'per_k[0].mean_test' must be finite"),
+              ("per-k-past-the-digit-limit", b"1" * 5000, "ParseError", "not valid JSON"),
+          ]],
     ])
     def test_bad_report_input_exit_1(self, tmp_path, capsys, data, error, fragment):
         src = tmp_path / "report.json"
@@ -608,6 +744,17 @@ class TestErrorContract:
         assert record["error"] == error
         assert fragment in record["message"] and str(src) in record["message"]
         assert not out.exists()
+
+    def test_other_fault_exit_3(self, monkeypatch, capsys, tmp_path):
+        def fault(args):
+            raise RuntimeError("an internal fault")
+
+        monkeypatch.setitem(cli._COMMANDS, "report", fault)
+        code, out, err = run(capsys, "report", "--input", str(tmp_path / "r.json"))
+        assert (code, out) == (3, "")
+        record = error_record(err)
+        assert (record["error"], record["message"]) == ("RuntimeError", "an internal fault")
+        assert record["traceback"].endswith("RuntimeError: an internal fault\n")
 
     def test_non_utf8_signal_exit_1(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"

@@ -157,6 +157,15 @@ class TestPreparation:
         with pytest.raises(ValidationError):
             prepare_eemd_config(make_config(), segs, window_len=1000)
 
+    def test_missing_imf_reads_as_a_zero_row(self, eemd_prepared):
+        # a window whose decomposition stopped before the selected IMF
+        first, full = eemd_prepared.samples[:2]
+        short = dataclasses.replace(first, imf_features=first.imf_features[:1],
+                                    imf_band_fractions=first.imf_band_fractions[:1])
+        prepared = dataclasses.replace(eemd_prepared, samples=[short, full])
+        X = prepared.feature_rows([0, 1], {"index": 2})
+        assert np.array_equal(X, np.vstack([np.zeros(7), full.imf_features[1]]))
+
 
 class TestLazyPacketFeatures:
     @pytest.mark.parametrize("level", [3, 4])

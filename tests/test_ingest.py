@@ -34,7 +34,7 @@ from chatterdetect.ingest import _scan_timeseries
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -152,10 +152,21 @@ class TestFastReadMatchesScan:
     @example("time_s,acc\n")
     @example("1.0\n \n2.0\n")
     @example("0.0,1.0\r\n0.0001,1_0\r\n")
+    @example("\ufeff1.0\n2.0\n3.0\n")
+    @example("\ufefftime_s,acc\n0.0,1.0\n")
+    @example("\ufeff1_0\n2.0\n")
     def test_same_result(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("diff") / "data.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(load_timeseries, path) == outcome(_scan_timeseries, path)
+
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    @pytest.mark.parametrize("text", ["\ufeff1.0\n2.0\n3.0\n",
+                                      "\ufeff0.0,1.0\n0.0001,2.0\n0.0002,3.0\n"])
+    @pytest.mark.parametrize("loader", [load_timeseries, _scan_timeseries])
+    def test_byte_order_mark_is_not_data(self, tmp_path, text, loader):
+        ts = loader(write(tmp_path, text), FS)
+        assert (ts.samples.tolist(), ts.start_time_s) == ([1.0, 2.0, 3.0], 0.0)
 
     def test_leading_comma_is_not_a_header(self, tmp_path):
         ts = load_timeseries(write(tmp_path, ",1.0\n2.0\n"), FS)
@@ -182,6 +193,7 @@ class TestFastReadMatchesScan:
     (b"1.0\r\n2.0\r\n3.0\xe9\r\n", 3),
     (b"1.0\r2.0\r\xc3\n", 3),
     (b"\xff", 1),
+    (b"\xef\xbb\xbf1.0\n\xff\n", 2),  # after a byte-order mark
 ])
 @pytest.mark.parametrize("loader", [lambda p: load_timeseries(p, FS), load_labels])
 def test_non_utf8_is_parse_error(tmp_path, data, line, loader):
@@ -233,6 +245,11 @@ class TestLoadLabels:
         path = write(tmp_path, "start_s,end_s,label\n0,1,stable\n1,2,CHATTER\n2,3,Mild\n")
         labels = load_labels(path)
         assert [iv.label for iv in labels] == [Label.STABLE, Label.CHATTER, Label.MILD]
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        labels = load_labels(write(tmp_path, "\ufeff0,1,stable\n1,2,chatter\n"))
+        assert [(iv.start_s, iv.label) for iv in labels] == [(0.0, Label.STABLE),
+                                                               (1.0, Label.CHATTER)]
 
     def test_unknown_label_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -412,6 +429,15 @@ def test_chatter_band_must_be_finite(band):
 
 
 class TestManifestValues:
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = write(tmp_path, '\ufeff{"records": [{"signal_path": "s.csv", "label_path": '
+                               '"l.csv", "stickout_id": "x", "sample_rate_hz": 20000}], '
+                               '"configs": {"x": {"chatter_band_hz": [900, 1000]}}}',
+                     "manifest.json")
+        manifest = load_manifest(path)
+        assert manifest.records[0].sample_rate_hz == 20000.0
+        assert manifest.config("x").chatter_band_hz == (900.0, 1000.0)
+
     def test_infinite_band_edge_rejected(self, tmp_path):
         path = write(tmp_path, '{"configs": {"x": {"chatter_band_hz": [900, Infinity]}}}',
                      "manifest.json")
