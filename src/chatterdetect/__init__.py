@@ -55,7 +55,6 @@ from .ml import (
     Standardizer,
     TreeEnsembleModel,
     make_trainer,
-    model_from_dict,
     nested_feature_accuracies,
     rfe_rank,
     train_boosting,

@@ -6,15 +6,16 @@ JSON config file given with --config, as an object keyed by flag name
 ("window-len" or "window_len").  File values are parsed exactly like flags
 given before the command line's own, so a value of the wrong type or outside
 a flag's choices is a usage error (exit 2), explicit flags override file
-values, and keys that name no flag of the subcommand are ignored.  Required
-flags must still appear on the command line.  On failure a machine-readable
-error record is printed to stderr and the exit code is nonzero.
+values, and keys that name no flag of the subcommand are ignored; a file may
+supply every flag, required ones too.  On failure a machine-readable error
+record is printed to stderr and the exit code is nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 import warnings
@@ -104,26 +105,36 @@ def build_parser():
 
 
 def _parse_args(parser, argv):
-    """Parse argv; values from a --config file enter as flags placed before
-    argv, so they pass the same type and choice checks and explicit flags
-    win.  Keys that name no flag of the subcommand are ignored."""
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
+    """Parse argv once.  A pre-parse finds --config; the file's values enter
+    as flags placed before argv's own, so they pass the same type and choice
+    checks and explicit flags win.  Keys that name no flag of the subcommand
+    are ignored."""
+    commands = parser._subparsers._group_actions[0].choices  # argparse has no public accessor
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    options = commands[argv[0]]._option_string_actions
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    # --config and each abbreviation that the subcommand reads as --config
+    pre.add_argument("--config", *[p for p in ("--config"[:n] for n in range(3, 8))
+                                   if [o for o in options if o.startswith(p)] == ["--config"]],
+                     dest="config", nargs="?")  # a missing value is the main parse's error
+    config = pre.parse_known_args(argv[1:])[0].config
+    if not config:
+        return parser.parse_args(argv)
     try:
-        values = read_json(args.config)
+        values = read_json(config)
     except ParseError as exc:
         parser.error(f"--config {exc}")
     if not isinstance(values, dict):
-        parser.error(f"--config {args.config}: expected a JSON object")
+        parser.error(f"--config {config}: expected a JSON object")
     tokens = []
     for key, value in values.items():
-        dest = key.replace("-", "_")
-        if dest in ("command", "config") or not hasattr(args, dest):
+        flag = "--" + key.replace("_", "-")
+        action = options.get(flag)
+        if action is None or action.dest in ("config", "help"):
             continue
-        flag = "--" + dest.replace("_", "-")
-        if isinstance(getattr(args, dest), bool) and isinstance(value, bool):
-            tokens += [flag] if value else []  # a store_true flag
+        if action.nargs == 0 and isinstance(value, bool):  # a switch
+            tokens += [flag] if value else []
         elif isinstance(value, list):
             tokens += [flag, *map(str, value)]
         else:
@@ -140,8 +151,11 @@ def _eemd_params(args):
 
 
 def _out_path(args, name):
-    """--out itself, or the file `name` inside it when it is a directory."""
+    """--out itself, or the file `name` inside it when it is a directory; an
+    --out ending in a path separator names one, created if missing."""
     path = Path(args.out)
+    if args.out.endswith((os.sep, "/")):
+        path.mkdir(parents=True, exist_ok=True)
     return path / name if path.is_dir() else path
 
 
@@ -284,16 +298,15 @@ def _cmd_evaluate_transfer(args):
 
 
 def _cmd_report(args):
-    doc = read_json(args.input)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{args.input}: a report is an object, not {type(doc).__name__}")
     try:
-        report = harness.ExperimentReport.from_dict(doc)
-        path = harness.emit_report(report, args.out, Path(args.input).stem)
-    except KeyError as exc:
-        raise ValidationError(f"{args.input}: report has no {exc.args[0]!r} key") from None
+        report = harness.ExperimentReport.from_dict(read_json(args.input))
     except ValidationError as exc:
         raise ValidationError(f"{args.input}: {exc}") from None
+    name = Path(args.input).stem
+    if (Path(args.out) / f"{name}.json").resolve() == Path(args.input).resolve():
+        raise ValidationError(f"{args.input}: report would write over its input; "
+                              "give --out another directory")
+    path = harness.emit_report(report, args.out, name)
     print(json.dumps({"output": str(path)}))
 
 

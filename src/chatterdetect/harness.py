@@ -300,18 +300,44 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d):
-        """A missing key raises KeyError, a value of the wrong type ValidationError."""
+        """The report that `d`'s spec and realizations give, rebuilt as a run
+        builds it; a ValidationError unless its to_dict() equals `d`, naming
+        the first key that differs."""
+        if not isinstance(d, dict):
+            raise ValidationError(f"a report is an object, not {type(d).__name__}")
         for key, kind, noun in (("spec", dict, "an object"),
-                                ("feature_names", list, "a list"), ("per_k", list, "a list")):
-            if not isinstance(d[key], kind):
+                                ("realizations", list, "a non-empty list")):
+            if key not in d:
+                raise ValidationError(f"report has no {key!r} key")
+            if not isinstance(d[key], kind) or d[key] == []:
                 raise ValidationError(f"report key {key!r} holds {d[key]!r}, not {noun}")
-        for i, row in enumerate(d["per_k"]):
-            if not isinstance(row, dict):
-                raise ValidationError(f"report key 'per_k[{i}]' holds {row!r}, not an object")
-            for key in ("k", "mean_test", "std_test", "mean_train", "std_train"):
-                json_float(row[key], f"report key 'per_k[{i}].{key}'")
-        return cls(d["spec"], tuple(d["feature_names"]), d["per_k"], d["realizations"],
-                   d["n_realizations"])
+        spec = d["spec"]
+        for key, allowed in (("method", list(FEATURE_NAMES)),
+                             ("classifier", sorted(set(CLASSIFIERS.values()))),
+                             ("mode", ["within", "transfer", "transfer-combined"])):
+            if spec.get(key) not in allowed:
+                raise ValidationError(
+                    f"report key 'spec.{key}' holds {spec.get(key)!r}, not one of {allowed}")
+        n = len(FEATURE_NAMES[spec["method"]])
+        for r, log in enumerate(d["realizations"]):
+            rows = log.get("accuracies") if isinstance(log, dict) else None
+            what = f"report key 'realizations[{r}].accuracies'"
+            if not isinstance(rows, list) or len(rows) != n:
+                raise ValidationError(f"{what} must hold {n} rows [k, train, test]")
+            for k, row in enumerate(rows, 1):
+                if not (isinstance(row, list) and len(row) == 3 and type(row[0]) is int
+                        and row[0] == k
+                        and all(0 <= json_float(v, f"{what} row {k}") <= 1 for v in row[1:])):
+                    raise ValidationError(f"{what} row {k} holds {row!r}, not [{k}, train "
+                                          "accuracy, test accuracy]")
+        report = _aggregate(spec, d["realizations"])
+        rebuilt = report.to_dict()
+        for key in {**rebuilt, **d}:  # as in JSON text, 1, 1.0 and true differ
+            if key not in d or key not in rebuilt or (
+                    json.dumps(d[key], sort_keys=True) != json.dumps(rebuilt[key], sort_keys=True)):
+                raise ValidationError(f"report key {key!r} differs from the report that its "
+                                      "spec and realizations give")
+        return report
 
     def best_row(self):
         return max(self.per_k, key=lambda row: row["mean_test"])
@@ -489,7 +515,7 @@ def _row_label(k):
 
 
 def emit_report(report, out_dir, basename="report"):
-    """Write the report as JSON plus CSV and text tables; a missing key writes none."""
+    """Write the report as JSON plus CSV and text tables."""
     spec = report.spec
     csv_text = "features,mean_test,std_test,mean_train,std_train\n" + "".join(
         f"{_row_label(row['k'])},{row['mean_test']:.4f},{row['std_test']:.4f},"

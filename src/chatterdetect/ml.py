@@ -46,10 +46,6 @@ class Standardizer:
     def to_dict(self):
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(np.asarray(d["mean"]), np.asarray(d["std"]))
-
 
 # ---------------------------------------------------------------------------
 # linear models
@@ -91,16 +87,6 @@ class LinearModel:
             if self.standardizer is None
             else self.standardizer.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        std = d.get("standardizer")
-        return cls(
-            np.asarray(d["weights"], dtype=float),
-            float(d["intercept"]),
-            d["kind"],
-            None if std is None else Standardizer.from_dict(std),
-        )
 
 
 def _check_two_classes(y):
@@ -319,17 +305,6 @@ def _fit_tree(X, target, max_depth, gains, leaf_value, importances, nodes,
     return fitted
 
 
-def _read_tree(d, nodes):
-    """Append a to_dict tree to nodes as _fit_tree grows one; returns its
-    root's index."""
-    node = len(nodes)
-    nodes.append([-1, 0.0, node, node, float(d.get("value", 0.0))])
-    if "value" not in d:
-        nodes[node][:4] = (int(d["feature"]), float(d["threshold"]),
-                           _read_tree(d["left"], nodes), _read_tree(d["right"], nodes))
-    return node
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -413,15 +388,6 @@ class TreeEnsembleModel:
             "importances": self.importances.tolist(),
             "trees": [self._tree_dict(root) for root in self.roots],
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        nodes = []
-        roots = [_read_tree(t, nodes) for t in d["trees"]]
-        return cls.from_nodes(
-            nodes, roots, mode=d["mode"], learning_rate=float(d["learning_rate"]),
-            base_score=float(d["base_score"]),
-            importances=np.asarray(d["importances"], dtype=float))
 
 
 def train_forest(X, y, n_trees=100, max_depth=2, seed=0):
@@ -573,11 +539,3 @@ def make_trainer(classifier, seed=0):
     if classifier == "boosting":
         return lambda X, y: train_boosting(X, y)
     raise DomainError(f"unknown classifier {classifier!r}")
-
-
-def model_from_dict(d):
-    if d.get("format") != MODEL_FORMAT:
-        raise DomainError(f"unsupported model format {d.get('format')!r}")
-    if d["type"] == "linear":
-        return LinearModel.from_dict(d)
-    return TreeEnsembleModel.from_dict(d)

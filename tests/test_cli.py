@@ -1,5 +1,9 @@
+import argparse
 import hashlib
 import json
+import os
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -397,6 +401,62 @@ class TestConfigFile:
         stored = json.loads(open(json.loads(out)["output"]).read())
         assert stored["level"] == 2
 
+    def test_every_flag_from_the_file(self, corpus, capsys, tmp_path):
+        # required flags too; the report has the bytes of the same command
+        # given its flags on the command line
+        _, manifest = corpus
+        flags = {"manifest": str(manifest), "stickout": "synth", "method": "wpt",
+                 "level": 3, "classifier": "logreg", "realizations": 2, "seed": 1}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**flags, "out": str(tmp_path / "file")}))
+        assert run(capsys, "evaluate-within", "--config", str(cfg))[0] == 0
+        argv = [token for key, value in flags.items() for token in (f"--{key}", str(value))]
+        assert run(capsys, "evaluate-within", *argv, "--out", str(tmp_path / "flags"))[0] == 0
+        for ext in ("json", "csv", "txt"):
+            name = f"within_synth_wpt_logistic.{ext}"
+            assert (tmp_path / "file" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+
+    def test_abbreviated_config_flag(self, corpus, capsys, tmp_path):
+        # argparse's rule: a prefix names --config when no other flag of the
+        # subcommand starts with it
+        _, manifest = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"level": 3}))
+        code, out, _ = run(
+            capsys, "select", "--c", str(cfg), "--manifest", str(manifest),
+            "--stickout", "synth", "--method", "wpt", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert json.loads(open(json.loads(out)["output"]).read())["level"] == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--c", str(cfg), "--features", "f.csv", "--classifier", "svm"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --c could match --config, --classifier" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_arguments_are_parsed_once(self, corpus, capsys, tmp_path, monkeypatch,
+                                       with_config):
+        _, manifest = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"level": 3}))
+        calls = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+        code, _, _ = run(
+            capsys, "select", *(["--config", str(cfg)] if with_config else []),
+            "--manifest", str(manifest), "--stickout", "synth", "--method", "wpt",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert len(calls) == 1
+
 
 def stickouts_manifest(tmp_path, stickouts):
     """One manifest over several stickouts, each a small synthetic corpus in
@@ -464,6 +524,21 @@ class TestEvaluateTransfer:
         expected = self.expected(manifest, ["A"], ["B"], grouped_split=True)
         assert report == json.loads(json.dumps(expected))
 
+    def test_config_list_values_take_effect(self, manifest, capsys, tmp_path):
+        # no --train-config or --test-config on the command line: the file's
+        # lists supply both required flags
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train-config": ["A", "B"], "test_config": ["C", "D"]}))
+        code, out, _ = run(
+            capsys, "evaluate-transfer", "--config", str(cfg), "--manifest", str(manifest),
+            "--method", "wpt", "--level", "3", "--classifier", "logistic",
+            "--realizations", "2", "--seed", "1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        report = json.loads(Path(json.loads(out)["output"]).read_text())
+        expected = self.expected(manifest, ["A", "B"], ["C", "D"])
+        assert report == json.loads(json.dumps(expected))
+
     def test_empty_config_list_is_a_usage_error(self, manifest, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train-config": []}))
@@ -478,6 +553,145 @@ class TestEvaluateTransfer:
 def error_record(err):
     [line] = err.splitlines()
     return json.loads(line)
+
+
+@pytest.mark.parametrize("command", ["preprocess", "decompose", "select", "features", "train"])
+def test_out_with_trailing_separator_names_a_directory(corpus, capsys, tmp_path, command):
+    _, manifest = corpus
+    signal = tmp_path / "sig.csv"
+    np.savetxt(signal, np.sin(np.arange(16000) * 0.3), delimiter=",")
+    features = tmp_path / "features.csv"
+    features.write_text("x,label\n0.0,0\n0.1,0\n1.0,1\n1.1,1\n")
+    stickout = ["--manifest", str(manifest), "--stickout", "synth", "--method", "wpt",
+                "--level", "3"]
+    flags = {
+        "preprocess": ["--input", str(signal), "--sample-rate", "160000",
+                       "--target-rate", "10000"],
+        "decompose": ["--input", str(signal), "--method", "wpt", "--level", "2"],
+        "select": stickout,
+        "features": stickout,
+        "train": ["--features", str(features), "--classifier", "svm"],
+    }[command]
+    out_dir = tmp_path / "new" / "dir"
+    code, out, _ = run(capsys, command, *flags, "--out", f"{out_dir}{os.sep}")
+    assert code == 0
+    path = Path(json.loads(out)["output"])
+    assert path.parent == out_dir and path.is_file()
+
+
+@pytest.fixture(scope="module")
+def report_file(corpus, tmp_path_factory):
+    """A report as evaluate-within writes it, with its CSV and text tables."""
+    _, manifest = corpus
+    out = tmp_path_factory.mktemp("report")
+    assert main(["evaluate-within", "--manifest", str(manifest), "--stickout", "synth",
+                 "--method", "wpt", "--level", "3", "--classifier", "svm",
+                 "--realizations", "2", "--seed", "1", "--out", str(out)]) == 0
+    return out / "within_synth_wpt_svm.json"
+
+
+def _set(*path_and_value):
+    """A mutation that sets the item at a key path of a report document."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return mutate
+
+
+class TestReportInput:
+    def test_writes_the_bytes_it_read(self, report_file, capsys, tmp_path):
+        code, out, _ = run(capsys, "report", "--input", str(report_file),
+                           "--out", str(tmp_path))
+        assert code == 0
+        assert Path(json.loads(out)["output"]) == tmp_path / report_file.name
+        for ext in ("json", "csv", "txt"):
+            assert (tmp_path / report_file.with_suffix(f".{ext}").name).read_bytes() == \
+                report_file.with_suffix(f".{ext}").read_bytes()
+
+    @pytest.mark.parametrize("out", [[], ["--out", "."], ["--out", "{dir}"]],
+                             ids=["default", "dot", "absolute"])
+    def test_refuses_to_write_over_its_input(self, report_file, capsys, tmp_path,
+                                             monkeypatch, out):
+        src = tmp_path / "rep.json"
+        src.write_bytes(report_file.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "report", "--input", "rep.json",
+                           *[flag.format(dir=tmp_path) for flag in out])
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert "rep.json" in record["message"] and "write over" in record["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
+        assert src.read_bytes() == report_file.read_bytes()
+
+    @pytest.mark.parametrize("mutate, key", [
+        pytest.param(_set("n_realizations", "ten"), "'n_realizations'", id="realizations-ten"),
+        pytest.param(_set("n_realizations", 0), "'n_realizations'", id="realizations-zero"),
+        pytest.param(_set("n_realizations", 1), "'n_realizations'", id="realizations-one-short"),
+        pytest.param(_set("n_realizations", 3), "'n_realizations'", id="realizations-one-over"),
+        pytest.param(_set("n_realizations", 2.0), "'n_realizations'", id="realizations-float"),
+        pytest.param(_set("feature_names", 0, "renamed"), "'feature_names'",
+                     id="feature-renamed"),
+        pytest.param(lambda d: d["feature_names"].pop(), "'feature_names'",
+                     id="feature-dropped"),
+        pytest.param(lambda d: d["per_k"].pop(0), "'per_k'", id="per-k-row-dropped"),
+        pytest.param(lambda d: d["per_k"].reverse(), "'per_k'", id="per-k-reordered"),
+        pytest.param(_set("per_k", 2, "mean_test", 0.125), "'per_k'",
+                     id="per-k-changed"),
+        pytest.param(_set("per_k", 0, "k", 1.0), "'per_k'", id="per-k-float-k"),
+        pytest.param(lambda d: d.pop("per_k"), "'per_k'", id="per-k-missing"),
+        pytest.param(_set("realizations", 0, "accuracies", 1, 2, float("nan")),
+                     "'realizations[0].accuracies' row 2 must be finite", id="nan-accuracy"),
+        pytest.param(_set("realizations", 0, "accuracies", 1, 2, 10**400),
+                     "'realizations[0].accuracies' row 2 must be finite", id="huge-accuracy"),
+        pytest.param(_set("realizations", 1, "accuracies", 4, 1, 1.5),
+                     "'realizations[1].accuracies' row 5", id="accuracy-above-one"),
+        pytest.param(_set("realizations", 1, "accuracies", 0, 0, 2),
+                     "'realizations[1].accuracies' row 1", id="accuracy-row-k"),
+        pytest.param(lambda d: d["realizations"][0]["accuracies"].pop(),
+                     "'realizations[0].accuracies'", id="accuracy-row-dropped"),
+        *[pytest.param(lambda d, key=key: d["spec"].pop(key), f"'spec.{key}'",
+                       id=f"spec-{key}-missing") for key in ("method", "classifier", "mode")],
+        pytest.param(_set("spec", "classifier", "perceptron"), "'spec.classifier'",
+                     id="spec-classifier-unknown"),
+        pytest.param(_set("note", "hand-edited"), "'note'", id="extra-key"),
+    ])
+    def test_altered_report_exit_1(self, report_file, capsys, tmp_path, mutate, key):
+        doc = json.loads(report_file.read_text())
+        mutate(doc)
+        src = tmp_path / "report.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "report", "--input", str(src), "--out", str(out))
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert key in record["message"] and str(src) in record["message"]
+        assert not out.exists()
+
+
+def test_readme_examples_parse(tmp_path, monkeypatch):
+    """Every command of README's CLI example block parses; the config-only
+    one reads the --config file README shows above it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command-line interface")[1]
+    config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("chatterdetect ")]
+    assert len(commands) >= 10 and any("--config" in argv for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "study.json").write_text(config)
+    parsed = [cli._parse_args(cli.build_parser(), argv[1:]) for argv in commands]
+    assert [args.command for args in parsed] == [argv[1] for argv in commands]
+    # the config-only command runs the same study as the evaluate-within example
+    [from_file] = [args for args in parsed if args.config]
+    [from_flags] = [args for args in parsed if args.command == "evaluate-within"
+                    and not args.config]
+    assert {**vars(from_file), "config": None} == vars(from_flags)
 
 
 class TestErrorContract:
@@ -711,26 +925,25 @@ class TestErrorContract:
             "spec": {"method": "wpt", "classifier": "svm", "mode": "within"},
             "feature_names": ["a"], "per_k": [{"k": 1}], "realizations": [],
             "n_realizations": 1,
-        }).encode(), "ValidationError", "no 'mean_test' key"),
+        }).encode(), "ValidationError", "'realizations' holds []"),
         (json.dumps({
             "per_k": [{"k": 1, "mean_test": None, "std_test": 0.0, "mean_train": 1.0,
                        "std_train": 0.0}],
             "spec": {"method": "wpt", "classifier": "svm", "mode": "within"},
             "feature_names": ["a"], "realizations": [], "n_realizations": 1,
-        }).encode(), "ValidationError", "'per_k[0].mean_test'"),
+        }).encode(), "ValidationError", "'realizations' holds []"),
         (b'{"spec": ["wpt"], "feature_names": [], "per_k": [], "realizations": [], '
          b'"n_realizations": 1}', "ValidationError", "'spec'"),
         (b'{"per_k": [3], "spec": {}, "feature_names": [], "realizations": [], '
-         b'"n_realizations": 1}', "ValidationError", "'per_k[0]'"),
+         b'"n_realizations": 1}', "ValidationError", "'realizations' holds []"),
         *[pytest.param(
             b'{"spec": {"method": "wpt", "classifier": "svm", "mode": "within"}, '
             b'"feature_names": ["a"], "realizations": [], "n_realizations": 1, '
             b'"per_k": [{"k": 1, "mean_test": ' + value + b', "std_test": 0.0, '
             b'"mean_train": 1.0, "std_train": 0.0}]}', error, fragment, id=name)
           for name, value, error, fragment in [
-              ("huge-per-k", b"1" + b"0" * 400, "ValidationError",
-               "'per_k[0].mean_test' must be finite"),
-              ("nan-per-k", b"NaN", "ValidationError", "'per_k[0].mean_test' must be finite"),
+              ("huge-per-k", b"1" + b"0" * 400, "ValidationError", "'realizations' holds []"),
+              ("nan-per-k", b"NaN", "ValidationError", "'realizations' holds []"),
               ("per-k-past-the-digit-limit", b"1" * 5000, "ParseError", "not valid JSON"),
           ]],
     ])

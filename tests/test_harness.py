@@ -583,3 +583,40 @@ class TestEmitReport:
         assert csv_lines[1].startswith("r1,")
         assert csv_lines[2].startswith("r1-r2,")
         assert len(csv_lines) == 1 + 14
+
+
+@st.composite
+def report_records(draw):
+    """A report's spec record and realization logs, as a run writes them."""
+    method = draw(st.sampled_from(sorted(harness.FEATURE_NAMES)))
+    d = len(harness.FEATURE_NAMES[method])
+    spec = {"method": method,
+            "classifier": draw(st.sampled_from(["svm", "logistic", "forest", "boosting"])),
+            "mode": draw(st.sampled_from(["within", "transfer", "transfer-combined"])),
+            "master_seed": draw(st.integers(0, 99))}
+    accuracy = st.floats(0, 1)
+    logs = [{"realization": r, "ranking": draw(st.permutations(range(d))),
+             "accuracies": [[k, draw(accuracy), draw(accuracy)] for k in range(1, d + 1)],
+             "n_train": draw(st.integers(1, 60)), "n_test": draw(st.integers(1, 60))}
+            for r in range(draw(st.integers(1, 6)))]
+    return spec, logs
+
+
+def reread(report):
+    """The report read back from its JSON text."""
+    return ExperimentReport.from_dict(json.loads(json.dumps(report.to_dict())))
+
+
+class TestReportRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(report_records())
+    def test_aggregated_logs(self, record):
+        report = harness._aggregate(*record)
+        assert reread(report) == report
+
+    def test_run_reports(self, wpt_prepared, eemd_prepared):
+        a, b, c, d = (renamed(wpt_prepared, sid) for sid in "abcd")
+        for report in (run_within(run_spec(n_realizations=2), wpt_prepared),
+                       run_within(run_spec(n_realizations=2), eemd_prepared),
+                       run_transfer_combined(run_spec(n_realizations=2), [a, b], [c, d])):
+            assert reread(report) == report
