@@ -7,7 +7,7 @@ elimination, and classify chatter vs chatter-free with four built-in
 classifiers under within-configuration and transfer-learning protocols.
 """
 
-from .emd import EemdParams, ImfSet, SiftStop, eemd, emd, envelope_mean, find_extrema, sift_imf
+from .emd import EemdParams, ImfSet, eemd, emd, envelope_mean, find_extrema, sift_imf
 from .errors import (
     ChatterDetectError,
     DomainError,

@@ -135,10 +135,11 @@ def _parse_args(parser, argv):
             continue
         if action.nargs == 0 and isinstance(value, bool):  # a switch
             tokens += [flag] if value else []
-        elif isinstance(value, list):
-            tokens += [flag, *map(str, value)]
-        else:
-            tokens.append(f"{flag}={value}")
+            continue
+        items = value if isinstance(value, list) else [value]
+        if any(v is None or isinstance(v, (bool, dict, list)) for v in items):
+            parser.error(f"--config {config}: {key!r} cannot be {json.dumps(value)}")
+        tokens += [flag, *map(str, value)] if isinstance(value, list) else [f"{flag}={value}"]
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 

@@ -10,7 +10,7 @@ return values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -23,18 +23,13 @@ from .errors import DomainError, ValidationError
 # 13% faster than 16 and held about 9 MB at the peak instead of 6.
 BATCH_SAMPLES = 16 * 1000
 
-
-@dataclass(frozen=True)
-class SiftStop:
-    """Stoppage settings for one sifting run.
-
-    Sifting stops once the normalized squared change between consecutive
-    sweeps drops below sd_threshold and the candidate satisfies the
-    extrema/zero-crossing count condition, or after max_sweeps sweeps.
-    """
-
-    sd_threshold: float = 0.2
-    max_sweeps: int = 100
+# Sifting stops once the normalized squared change between sweeps drops below
+# SD_THRESHOLD and extrema and zero crossings differ by at most one, or after
+# MAX_SWEEPS sweeps; emd extracts at most MAX_IMFS IMFs from MIN_SAMPLES or more.
+SD_THRESHOLD = 0.2
+MAX_SWEEPS = 100
+MAX_IMFS = 10
+MIN_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -57,8 +52,6 @@ class ImfSet:
 class EemdParams:
     ensemble_size: int = 200
     noise_std_fraction: float = 0.2
-    max_imfs: int = 10
-    sift_stop: SiftStop = field(default_factory=SiftStop)
     master_seed: int = 0
 
     def __post_init__(self):
@@ -66,8 +59,6 @@ class EemdParams:
             raise ValidationError("ensemble_size must be positive")
         if not 0.0 <= self.noise_std_fraction <= 0.2:
             raise ValidationError("noise_std_fraction must lie in [0, 0.2]")
-        if self.max_imfs < 1:
-            raise ValidationError("max_imfs must be positive")
         if self.master_seed < 0:  # numpy's seed sequences take no negative entropy
             raise ValidationError(f"master_seed must be non-negative, got {self.master_seed}")
 
@@ -326,7 +317,7 @@ def envelope_mean(x, extrema=None, out=None, work=None):
     return out
 
 
-def sift_imf(r, stop=None, work=None):
+def sift_imf(r, work=None):
     """Extract one IMF from a residue.
 
     Returns (imf, is_monotonic).  is_monotonic is True when the residue has
@@ -336,11 +327,9 @@ def sift_imf(r, stop=None, work=None):
     leaves the batch when it stops.  work, when given, is the _Work of an
     enclosing decomposition.
     """
-    if stop is None:
-        stop = SiftStop()
     r = np.asarray(r, dtype=float)
     if r.ndim == 1:
-        imf, monotonic = sift_imf(r[None], stop, work)
+        imf, monotonic = sift_imf(r[None], work)
         return (None, True) if monotonic[0] else (imf[0], False)
     if work is None:
         work = _Work()
@@ -352,7 +341,7 @@ def sift_imf(r, stop=None, work=None):
     # batch row j holds residue live[j]; rows that stop are swapped out, so
     # the live rows are always the first live.size rows of h and m
     live = _drop_rows(monotonic, np.arange(r.shape[0]), h, m)
-    for _ in range(stop.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         if not live.size:
             break
         hs, ms, sq = h[: live.size], m[: live.size], square[: live.size]
@@ -363,7 +352,7 @@ def sift_imf(r, stop=None, work=None):
             sd = np.where(denom > 0, sq.sum(axis=1) / denom, 0.0)
         hs -= ms
         extrema = find_extrema(hs)
-        done = sd < stop.sd_threshold
+        done = sd < SD_THRESHOLD
         if done.any():
             # the IMF condition: extrema and zero crossings differ by <= 1
             (rmax, cmax), (rmin, cmin) = extrema
@@ -399,8 +388,8 @@ def _as_signal(x):
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise DomainError("need a signal or a 2-D batch of signals, one per row")
-    if x.shape[-1] < 4:
-        raise DomainError("need at least 4 samples to decompose")
+    if x.shape[-1] < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} samples to decompose")
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         value = x.flat[bad[0]]
@@ -411,8 +400,9 @@ def _as_signal(x):
     return x
 
 
-def emd(x, max_imfs=10, stop=None, work=None):
-    """Plain EMD: successive sifting until a monotonic residue remains.
+def emd(x, work=None):
+    """Plain EMD: successive sifting until a monotonic residue remains or
+    MAX_IMFS IMFs are out.
 
     For a 2-D batch, returns one ImfSet per row.  The rows sift each IMF
     in lockstep, and a row leaves the batch once its residue is monotonic.
@@ -420,18 +410,16 @@ def emd(x, max_imfs=10, stop=None, work=None):
     """
     x = _as_signal(x)
     if x.ndim == 1:
-        return emd(x[None], max_imfs, stop, work)[0]
-    if stop is None:
-        stop = SiftStop()
+        return emd(x[None], work)[0]
     if work is None:
         work = _Work()
     residue = x.copy()
     imfs = [[] for _ in range(x.shape[0])]
     live = np.arange(x.shape[0])
-    for _ in range(max_imfs):
+    for _ in range(MAX_IMFS):
         if not live.size:
             break
-        imf, monotonic = sift_imf(residue[live], stop, work)
+        imf, monotonic = sift_imf(residue[live], work)
         live, imf = live[~monotonic], imf[~monotonic]
         for row, c in zip(live, imf):
             imfs[row].append(c.copy())
@@ -480,7 +468,7 @@ def eemd(x, params=None):
             x[w] if e is None else x[w] + params.noise_std_fraction * sigma[w] * noise[e]
             for w, e in batch
         ])
-        for (w, e), member in zip(batch, emd(rows, params.max_imfs, params.sift_stop, work)):
+        for (w, e), member in zip(batch, emd(rows, work)):
             if e is None:
                 results[w] = member
             elif e == 0:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emd import EemdParams, eemd
+from .emd import MIN_SAMPLES, EemdParams, eemd
 from .errors import DomainError, ValidationError
 from .features import (
     EEMD_FEATURE_NAMES,
@@ -179,6 +179,8 @@ def prepare_wpt_config(config, segments, level):
 def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
     """Window every segment, decompose all windows in one eemd call, featurize
     every IMF."""
+    if window_len < MIN_SAMPLES:
+        raise DomainError(f"window_len must be at least {MIN_SAMPLES} for EEMD, got {window_len}")
     if eemd_params is None:
         eemd_params = EemdParams()
     windows = window_segments(segments, window_len)

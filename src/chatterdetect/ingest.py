@@ -55,6 +55,9 @@ class TimeSeries:
                                   f"got {self.sample_rate_hz}")
         if self.samples.size == 0:
             raise ValidationError("time series must be nonempty")
+        if not np.isfinite(self.samples).all():
+            i = int(np.flatnonzero(~np.isfinite(self.samples))[0])
+            raise ValidationError(f"sample {i} is not finite ({self.samples.flat[i]})")
 
     @property
     def duration_s(self):
@@ -580,11 +583,11 @@ def filter_and_downsample(ts, filt, target_rate_hz):
     return TimeSeries(decimated, target_rate_hz, ts.start_time_s)
 
 
-def cut_segments(ts, labels, mild_as_chatter=True, file_id=""):
+def cut_segments(ts, labels, file_id=""):
     """Cut one Segment per non-Unknown interval.
 
-    Stable maps to label 0; Chatter (and Mild, unless mild_as_chatter is
-    False, in which case Mild intervals are dropped) maps to label 1.
+    Stable maps to label 0; Chatter and Mild both map to label 1, since mild
+    chatter always counts as chatter.
     """
     ordered = sorted(enumerate(labels), key=lambda item: item[1].start_s)
     eps = 0.5 / ts.sample_rate_hz
@@ -603,8 +606,6 @@ def cut_segments(ts, labels, mild_as_chatter=True, file_id=""):
     segments = []
     for index, iv in enumerate(labels):
         if iv.label is Label.UNKNOWN:
-            continue
-        if iv.label is Label.MILD and not mild_as_chatter:
             continue
         binary = 0 if iv.label is Label.STABLE else 1
         i0 = int(round((iv.start_s - ts.start_time_s) * ts.sample_rate_hz))

@@ -1,6 +1,7 @@
 """From-scratch binary classifiers and recursive feature elimination.
 
-All four trainers are deterministic given (data, hyperparameters, seed).
+All four trainers are deterministic given (data, seed); their
+hyperparameters are fixed module constants.
 Labels are {0, 1}; linear solvers work internally with {-1, +1}.
 Standardization is fitted inside the linear trainers (hinge and likelihood
 solvers are scale-sensitive); the tree ensembles consume raw features.
@@ -55,15 +56,12 @@ class LinearModel:
     weights: np.ndarray
     intercept: float
     kind: str  # "svm" or "logistic"
-    standardizer: Standardizer | None = None
+    standardizer: Standardizer
     # solver health numbers (duality gap etc.); not serialized
     diagnostics: dict | None = field(default=None, repr=False)
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
-        if self.standardizer is not None:
-            X = self.standardizer.transform(X)
-        return X @ self.weights + self.intercept
+        return self.standardizer.transform(X) @ self.weights + self.intercept
 
     def predict(self, X):
         return (self.decision_function(X) >= 0).astype(int)
@@ -83,9 +81,7 @@ class LinearModel:
             "kind": self.kind,
             "weights": self.weights.tolist(),
             "intercept": self.intercept,
-            "standardizer": None
-            if self.standardizer is None
-            else self.standardizer.to_dict(),
+            "standardizer": self.standardizer.to_dict(),
         }
 
 
@@ -116,26 +112,31 @@ def _sigmoid(z):
     return out
 
 
-def train_svm(X, y, tol=1e-4, max_passes=20000, standardize=True):
-    """Soft-margin linear SVM via dual coordinate descent.
+SVM_TOL = 1e-4
+SVM_MAX_PASSES = 20000
+LOGISTIC_TOL = 1e-6
+
+
+def train_svm(X, y):
+    """Soft-margin linear SVM via dual coordinate descent on standardized
+    features.
 
     Minimizes 0.5*||w||^2 + sum of hinge losses (C = 1).  The bias is carried as
     an augmented constant feature, and the solver runs until the duality gap
-    drops below tol (relative to max(1, primal)).
+    drops below SVM_TOL (relative to max(1, primal)), for at most
+    SVM_MAX_PASSES passes.
     """
-    if max_passes < 1:
-        raise DomainError(f"the SVM needs at least one pass, got max_passes={max_passes}")
     y = _check_two_classes(y)
     X = _check_finite(X)
-    std = Standardizer.fit(X) if standardize else None
-    Z = std.transform(X) if std is not None else X
+    std = Standardizer.fit(X)
+    Z = std.transform(X)
     n, d = Z.shape
     A = np.column_stack([Z, np.ones(n)])  # augmented bias column
     s = np.where(y == 1, 1.0, -1.0)
     q = np.einsum("ij,ij->i", A, A)  # >= 1 through the bias column
     alpha = np.zeros(n)
     w = np.zeros(d + 1)
-    for passes in range(1, max_passes + 1):
+    for passes in range(1, SVM_MAX_PASSES + 1):
         for i in range(n):
             g = s[i] * (A[i] @ w) - 1.0
             a_new = min(max(alpha[i] - g / q[i], 0.0), 1.0)
@@ -148,7 +149,7 @@ def train_svm(X, y, tol=1e-4, max_passes=20000, standardize=True):
         primal = 0.5 * (w @ w) + hinge.sum()
         dual = alpha.sum() - 0.5 * (w @ w)
         gap = primal - dual
-        converged = bool(gap <= tol * max(1.0, abs(primal)))
+        converged = bool(gap <= SVM_TOL * max(1.0, abs(primal)))
         if converged:
             break
     return LinearModel(
@@ -158,17 +159,17 @@ def train_svm(X, y, tol=1e-4, max_passes=20000, standardize=True):
     )
 
 
-def train_logistic(X, y, tol=1e-6, standardize=True):
+def train_logistic(X, y):
     """Logistic regression by damped Newton iteration on the penalized
-    Bernoulli log-likelihood.
+    Bernoulli log-likelihood of standardized features.
 
     The small L2 penalty of 1e-4 (intercept unpenalized) keeps the optimum finite
-    under perfect separation; convergence is gradient inf-norm <= tol.
+    under perfect separation; convergence is gradient inf-norm <= LOGISTIC_TOL.
     """
     y = _check_two_classes(y)
     X = _check_finite(X)
-    std = Standardizer.fit(X) if standardize else None
-    Z = std.transform(X) if std is not None else X
+    std = Standardizer.fit(X)
+    Z = std.transform(X)
     n, d = Z.shape
     A = np.column_stack([Z, np.ones(n)])
     beta = np.zeros(d + 1)
@@ -184,7 +185,7 @@ def train_logistic(X, y, tol=1e-6, standardize=True):
     for _ in range(10000):
         p = _sigmoid(A @ beta)
         grad = A.T @ (p - y) + penalty * beta
-        if np.max(np.abs(grad)) <= tol:
+        if np.max(np.abs(grad)) <= LOGISTIC_TOL:
             break
         wdiag = np.maximum(p * (1.0 - p), 1e-12)
         H = (A * wdiag[:, None]).T @ A + np.diag(penalty)
@@ -390,32 +391,37 @@ class TreeEnsembleModel:
         }
 
 
-def train_forest(X, y, n_trees=100, max_depth=2, seed=0):
-    """Random forest: bootstrap resamples, Gini splits over sqrt(d) random
-    candidate features, majority vote.  Per-tree streams derive from
-    (seed, tree index), so results are schedule-independent."""
-    if n_trees < 1:
-        raise DomainError(f"a forest needs at least one tree, got n_trees={n_trees}")
+FOREST_TREES = 100
+FOREST_DEPTH = 2
+BOOSTING_STAGES = 100
+BOOSTING_DEPTH = 3
+
+
+def train_forest(X, y, seed=0):
+    """Random forest of FOREST_TREES trees of depth FOREST_DEPTH: bootstrap
+    resamples, Gini splits over sqrt(d) random candidate features, majority
+    vote.  Per-tree streams derive from (seed, tree index), so results are
+    schedule-independent."""
     y = _check_two_classes(y)
     X = _check_finite(X)
     n, d = X.shape
     n_candidates = max(1, int(np.sqrt(d)))
     importances = np.zeros(d)
     nodes, roots = [], []
-    oob = np.ones((n_trees, n), dtype=bool)  # rows each tree's bootstrap left out
-    for t in range(n_trees):
+    oob = np.ones((FOREST_TREES, n), dtype=bool)  # rows each tree's bootstrap left out
+    for t in range(FOREST_TREES):
         rng = np.random.default_rng([seed, t])
         sample = rng.integers(0, n, size=n)
         oob[t, sample] = False
         target = y[sample]
         roots.append(len(nodes))
         _fit_tree(
-            X[sample], target, max_depth, _impurity_gains,
+            X[sample], target, FOREST_DEPTH, _impurity_gains,
             lambda idx: float(np.mean(target[idx]) >= 0.5), importances, nodes,
             n_candidates, rng,
         )
     model = TreeEnsembleModel.from_nodes(
-        nodes, roots, mode="forest-vote", importances=importances / n_trees)
+        nodes, roots, mode="forest-vote", importances=importances / FOREST_TREES)
     oob_votes = np.count_nonzero((model.leaf_values(X) >= 0.5) & oob, axis=0)
     oob_counts = np.count_nonzero(oob, axis=0)
     seen = oob_counts > 0
@@ -425,8 +431,9 @@ def train_forest(X, y, n_trees=100, max_depth=2, seed=0):
     return replace(model, oob_accuracy=float(np.mean(oob_pred == (y[seen] == 1))))
 
 
-def train_boosting(X, y, n_stages=100, tree_depth=3):
-    """Gradient boosting under binomial deviance.
+def train_boosting(X, y):
+    """Gradient boosting under binomial deviance, BOOSTING_STAGES trees of
+    depth BOOSTING_DEPTH.
 
     The score starts at the training log-odds; each stage fits a regression
     tree to the negative gradient (residual y - p) and applies a per-leaf
@@ -443,21 +450,21 @@ def train_boosting(X, y, n_stages=100, tree_depth=3):
     importances = np.zeros(d)
     nodes, roots = [], []
     deviances = []
-    for _ in range(n_stages):
+    for _ in range(BOOSTING_STAGES):
         p = _sigmoid(score)
         residual = y - p
         hess = np.maximum(p * (1.0 - p), 1e-12)
         # Newton leaf values: sum(residual) / sum(p*(1-p)) over leaf samples
         roots.append(len(nodes))
         fitted = _fit_tree(
-            X, residual, tree_depth, _sse_gains,
+            X, residual, BOOSTING_DEPTH, _sse_gains,
             lambda idx: residual[idx].sum() / hess[idx].sum(), importances, nodes,
         )
         score = score + learning_rate * fitted
         deviances.append(float(np.sum(np.logaddexp(0.0, score) - y * score)))
     return TreeEnsembleModel.from_nodes(
         nodes, roots, mode="boosted-sum", learning_rate=learning_rate, base_score=base,
-        importances=importances / max(1, n_stages), train_deviances=deviances)
+        importances=importances / BOOSTING_STAGES, train_deviances=deviances)
 
 
 # ---------------------------------------------------------------------------

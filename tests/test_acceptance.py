@@ -181,9 +181,9 @@ def test_criterion_7_classifier_oracles():
             worst_acc = min(worst_acc, float(np.mean(model.predict(X[te]) == y[te])))
     X = np.array([[-1.0], [1.0]])
     y01 = np.array([0, 1])
-    svm = train_svm(X, y01, standardize=False)
+    svm = train_svm(X, y01)
     midpoint_err = abs(svm.decision_function(np.array([[0.0]]))[0])
-    logit = train_logistic(X, y01, standardize=False)
+    logit = train_logistic(X, y01)
     prob_err = abs(logit.predict_proba(np.array([[0.0]]))[0] - 0.5)
     rng = np.random.default_rng(20)
     Xb = np.vstack([rng.standard_normal((50, 3)),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from chatterdetect import (
+    EemdParams,
     ExperimentSpec,
     design_lowpass,
     filter_and_downsample,
@@ -254,6 +255,22 @@ class TestTrainAndEvaluate:
         report = json.loads(open(record["output"]).read())
         assert report["n_realizations"] == 2
 
+    def test_eemd_flags_reach_the_decomposition(self, corpus, capsys, tmp_path):
+        _, manifest = corpus
+        code, out, _ = run(
+            capsys, "evaluate-within", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "eemd", "--ensemble-size", "2", "--noise-fraction", "0.1",
+            "--seed", "3", "--classifier", "logreg", "--realizations", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        params = EemdParams(ensemble_size=2, noise_std_fraction=0.1, master_seed=3)
+        prepared = harness.prepare_from_manifest(load_manifest(manifest), "synth", "eemd",
+                                                 eemd_params=params)
+        expected = harness.run_within(ExperimentSpec("logistic", 2, 3), prepared)
+        report = json.loads(Path(json.loads(out)["output"]).read_text())
+        assert report == json.loads(json.dumps(expected.to_dict()))
+
     def test_classifier_spellings_give_one_report(self, corpus, capsys, tmp_path):
         _, manifest = corpus
         reports = []
@@ -363,6 +380,12 @@ class TestConfigFile:
         {"level": True},
         {"grouped-split": "yes"},
         {"method": "dwt"},
+        {"out": None},
+        {"out": True},
+        {"out": {"a": 1}},
+        {"stickout": None},
+        {"stickout": ["synth", None]},
+        {"out": [["x"]]},
     ])
     def test_bad_value_is_a_usage_error(self, corpus, capsys, tmp_path, values):
         tmp, manifest = corpus
@@ -375,7 +398,8 @@ class TestConfigFile:
                 "--method", "wpt", "--classifier", "logreg", "--out", str(tmp_path),
             ])
         assert exc.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage:" in err and next(iter(values)) in err
 
     def test_byte_order_mark_accepted(self, corpus, capsys, tmp_path):
         _, manifest = corpus
@@ -777,6 +801,18 @@ class TestErrorContract:
         record = error_record(err)
         assert record["error"] == "DomainError"
         assert f"level must lie in 1..4, got {level}" in record["message"]
+
+    @pytest.mark.parametrize("window_len", ["2", "3"])
+    def test_short_eemd_window_exit_1(self, corpus, capsys, tmp_path, window_len):
+        _, manifest = corpus
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "eemd", "--window-len", window_len, "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "DomainError"
+        assert record["message"] == f"window_len must be at least 4 for EEMD, got {window_len}"
 
     def test_train_without_label_column_exit_1(self, tmp_path, capsys):
         features = tmp_path / "features.csv"

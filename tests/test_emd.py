@@ -10,7 +10,6 @@ from scipy.interpolate import CubicSpline
 from chatterdetect import (
     DomainError,
     EemdParams,
-    SiftStop,
     ValidationError,
     eemd,
     emd,
@@ -153,7 +152,7 @@ def mixed_batch(n=512):
     ])
 
 
-def reference_emd(x, max_imfs, stop):
+def reference_emd(x, max_imfs, max_sweeps):
     """The original one-signal sifting loop over the reference extrema and
     scipy's splines: the oracle for the lockstep batch."""
     residue, imfs = x.copy(), []
@@ -162,11 +161,11 @@ def reference_emd(x, max_imfs, stop):
         m = reference_envelope_mean(h)
         if m is None:
             break
-        for _ in range(stop.max_sweeps):
+        for _ in range(max_sweeps):
             denom = float(np.sum(h**2))
             sd = float(np.sum(m**2)) / denom if denom > 0 else 0.0
             h = h - m
-            if sd < stop.sd_threshold:
+            if sd < 0.2:
                 maxima, minima = reference_extrema(h)
                 s = np.sign(h)
                 s = s[s != 0]
@@ -187,27 +186,32 @@ def assert_same(a, b):
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("max_imfs, stop", [(3, SiftStop(0.2, 3)), (10, SiftStop())])
-    def test_batch_emd_equals_one_row_emd(self, max_imfs, stop):
+    # stop: the sifting constants a case sets, the others keep their defaults
+    @pytest.mark.parametrize("max_imfs, stop", [(3, {"MAX_SWEEPS": 3}), (10, {})])
+    def test_batch_emd_equals_one_row_emd(self, max_imfs, stop, monkeypatch):
+        monkeypatch.setattr(emd_module, "MAX_IMFS", max_imfs)
+        for name, value in stop.items():
+            monkeypatch.setattr(emd_module, name, value)
         x = mixed_batch()
-        batch = emd(x, max_imfs, stop)
+        batch = emd(x)
         assert len(batch) == x.shape[0]
         for row, result in zip(x, batch):
-            assert_same(result, emd(row, max_imfs, stop))
-            assert_same(result, reference_emd(row, max_imfs, stop))
+            assert_same(result, emd(row))
+            assert_same(result, reference_emd(row, max_imfs, emd_module.MAX_SWEEPS))
         counts = [r.n_imfs for r in batch]
         assert counts[0] == 0 and counts[1] == 1
         if max_imfs == 3:
             assert counts[3] == counts[4] == 3
 
-    def test_rows_stop_on_their_own_tests(self):
+    def test_rows_stop_on_their_own_tests(self, monkeypatch):
         x = mixed_batch()
-        capped, capped_mono = sift_imf(x, SiftStop(0.2, 3))
-        free, _ = sift_imf(x, SiftStop(0.2, 100))
+        free, _ = sift_imf(x)
+        monkeypatch.setattr(emd_module, "MAX_SWEEPS", 3)
+        capped, capped_mono = sift_imf(x)
         assert list(capped_mono) == [True] + [False] * 5
         assert np.all(np.isnan(capped[0]))
         for row in range(1, x.shape[0]):
-            imf, monotonic = sift_imf(x[row], SiftStop(0.2, 3))
+            imf, monotonic = sift_imf(x[row])
             assert not monotonic and np.array_equal(capped[row], imf)
         # the intermittent, random-walk and noise rows hit the sweep cap;
         # the tonal rows stop on the sd and IMF tests before it
@@ -389,10 +393,12 @@ class TestSiftImf:
         maxima, minima = find_extrema(imf)
         assert abs((maxima.size + minima.size) - zero_crossings(imf)) <= 1
 
-    def test_sweep_cap_respected(self):
+    def test_sweep_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(emd_module, "SD_THRESHOLD", 0.0)
+        monkeypatch.setattr(emd_module, "MAX_SWEEPS", 3)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(256)
-        imf, _ = sift_imf(x, SiftStop(sd_threshold=0.0, max_sweeps=3))
+        imf, _ = sift_imf(x)
         assert imf is not None
 
 
@@ -424,9 +430,10 @@ class TestEmd:
         counts = [zero_crossings(c) for c in result.imfs[:2]]
         assert counts[0] > counts[1]
 
-    def test_max_imfs_cap(self):
+    def test_max_imfs_cap(self, monkeypatch):
+        monkeypatch.setattr(emd_module, "MAX_IMFS", 3)
         rng = np.random.default_rng(1)
-        result = emd(rng.standard_normal(2048), max_imfs=3)
+        result = emd(rng.standard_normal(2048))
         assert result.n_imfs <= 3
 
     def test_too_short_rejected(self):
@@ -553,7 +560,5 @@ class TestEemd:
             EemdParams(noise_std_fraction=0.5)
         with pytest.raises(ValidationError):
             EemdParams(noise_std_fraction=-0.1)
-        with pytest.raises(ValidationError):
-            EemdParams(max_imfs=0)
         with pytest.raises(ValidationError, match="master_seed must be non-negative, got -1"):
             EemdParams(master_seed=-1)

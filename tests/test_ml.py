@@ -1,5 +1,6 @@
 import hashlib
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from chatterdetect import (
     train_logistic,
     train_svm,
 )
+from chatterdetect import ml
 from chatterdetect.ml import CLASSIFIERS, _best_split, _impurity_gains, _sse_gains
 
 
@@ -75,7 +77,7 @@ class TestSvm:
     def test_symmetric_pair_midpoint_boundary(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
-        model = train_svm(X, y, standardize=False)
+        model = train_svm(X, y)
         assert abs(model.intercept) < 1e-6
         assert abs(model.decision_function(np.array([[0.0]]))[0]) < 1e-6
         # unit margins at the two support points
@@ -83,7 +85,7 @@ class TestSvm:
 
     def test_duality_gap_certificate(self):
         X, y = blobs(seed=3, gap=2.0)
-        model = train_svm(X, y, tol=1e-4)
+        model = train_svm(X, y)
         gap = model.diagnostics["duality_gap"]
         assert gap <= 1e-4 * max(1.0, abs(model.diagnostics["primal"]))
 
@@ -102,18 +104,14 @@ class TestSvm:
         with pytest.raises(DomainError):
             train_svm(np.ones((4, 2)), np.zeros(4, dtype=int))
 
-    def test_diagnostics_count_passes(self):
+    def test_diagnostics_count_passes(self, monkeypatch):
         X, y = blobs(seed=3, gap=2.0)
         done = train_svm(X, y).diagnostics
         assert done["converged"] and 1 <= done["passes"] < 20000
-        cut = train_svm(X, y, tol=0.0, max_passes=2).diagnostics
+        monkeypatch.setattr(ml, "SVM_TOL", 0.0)
+        monkeypatch.setattr(ml, "SVM_MAX_PASSES", 2)
+        cut = train_svm(X, y).diagnostics
         assert cut["passes"] == 2 and not cut["converged"]
-
-    @pytest.mark.parametrize("passes", [0, -1])
-    def test_no_passes_rejected(self, passes):
-        X, y = blobs()
-        with pytest.raises(DomainError, match="max_passes"):
-            train_svm(X, y, max_passes=passes)
 
 
 class TestLogistic:
@@ -125,7 +123,7 @@ class TestLogistic:
     def test_symmetric_pair_zero_intercept(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
-        model = train_logistic(X, y, standardize=False)
+        model = train_logistic(X, y)
         assert abs(model.intercept) < 1e-8
 
     def test_boundary_probability_half(self):
@@ -171,13 +169,14 @@ class TestForest:
         model = train_forest(X, y, seed=0)
         assert np.mean(model.predict(X) == y) == 1.0
 
-    def test_xor_beats_chance_and_depth_three_solves(self):
+    def test_xor_beats_chance_and_depth_three_solves(self, monkeypatch):
         # depth-2 trees over one random candidate feature per split only
         # partially capture the interaction; deeper trees capture it fully
         X, y = xor_data(seed=2)
         shallow = train_forest(X, y, seed=1)
         assert np.mean(shallow.predict(X) == y) >= 0.8
-        deep = train_forest(X, y, seed=1, max_depth=3)
+        monkeypatch.setattr(ml, "FOREST_DEPTH", 3)
+        deep = train_forest(X, y, seed=1)
         assert np.mean(deep.predict(X) == y) >= 0.95
 
     def test_deterministic_given_seed(self):
@@ -189,8 +188,8 @@ class TestForest:
 
     def test_seed_changes_model(self):
         X, y = xor_data(seed=3)
-        a = train_forest(X, y, seed=0, n_trees=5)
-        b = train_forest(X, y, seed=1, n_trees=5)
+        a = train_forest(X, y, seed=0)
+        b = train_forest(X, y, seed=1)
         assert not np.array_equal(a.decision_function(X), b.decision_function(X))
 
     def test_oob_accuracy_reasonable(self):
@@ -201,8 +200,8 @@ class TestForest:
 
     def test_votes_bounded(self):
         X, y = blobs(seed=11)
-        votes = train_forest(X, y, n_trees=20, seed=0).votes(X)
-        assert np.all((votes >= 0) & (votes <= 20))
+        votes = train_forest(X, y, seed=0).votes(X)
+        assert np.all((votes >= 0) & (votes <= 100))
 
     def test_importances_nonnegative_and_informative(self):
         # only feature 0 carries signal
@@ -212,12 +211,6 @@ class TestForest:
         imp = train_forest(X, y, seed=0).feature_importances()
         assert np.all(imp >= 0)
         assert imp[0] == imp.max()
-
-    @pytest.mark.parametrize("n_trees", [0, -3])
-    def test_no_trees_rejected(self, n_trees):
-        X, y = blobs()
-        with pytest.raises(DomainError, match="n_trees"):
-            train_forest(X, y, n_trees=n_trees)
 
 
 class TestBoosting:
@@ -239,7 +232,7 @@ class TestBoosting:
 
     def test_base_score_is_log_odds(self):
         X, y = blobs(seed=15, n_per=30)
-        model = train_boosting(X, y, n_stages=1)
+        model = train_boosting(X, y)
         assert abs(model.base_score - np.log(0.5 / 0.5)) < 1e-12
 
     def test_deterministic(self):
@@ -445,8 +438,8 @@ def _oracle_predictions(doc, X):
 @st.composite
 def tree_problems(draw):
     """Training rows with both classes, held-out rows from the same
-    distribution (rounded grids make rows land on thresholds), and a
-    tree ensemble to fit."""
+    distribution (rounded grids make rows land on thresholds), and the
+    trainer, tree count and depth of a tree ensemble to fit."""
     n = draw(st.integers(4, 40))
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -456,16 +449,20 @@ def tree_problems(draw):
     y[:2] = (0, 1)
     depth, count, seed = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(0, 99))
     if draw(st.booleans()):
-        model = train_forest(X[:n], y, n_trees=count, max_depth=depth, seed=seed)
+        fit = lambda: train_forest(X[:n], y, seed=seed)
+        sizes = {"FOREST_TREES": count, "FOREST_DEPTH": depth}
     else:
-        model = train_boosting(X[:n], y, n_stages=count, tree_depth=depth)
-    return model, X[n:]
+        fit = lambda: train_boosting(X[:n], y)
+        sizes = {"BOOSTING_STAGES": count, "BOOSTING_DEPTH": depth}
+    return fit, sizes, X[n:]
 
 
 @settings(max_examples=150, deadline=None)
 @given(tree_problems())
 def test_node_table_matches_json_walker(problem):
-    model, X = problem
+    fit, sizes, X = problem
+    with patch.multiple(ml, **sizes):
+        model = fit()
     doc = json.loads(json.dumps(model.to_dict()))
     votes, decision = _oracle_predictions(doc, X)
     assert np.array_equal(model.decision_function(X), decision)
