@@ -256,7 +256,12 @@ def _cmd_train(args):
         raise ValidationError(
             f"{args.features}: data row {bad[0] + 1} has label {labels[bad[0]]}, not 0 or 1")
     y = labels.astype(int)
-    X = np.column_stack([table[c] for c in names if c != "label"])
+    columns = [c for c in names if c != "label"]
+    X = np.column_stack([table[c] for c in columns])
+    rows, cols = np.nonzero(~np.isfinite(X))  # a cell that is not a number reads as nan
+    if rows.size:
+        raise ValidationError(f"{args.features}: data row {rows[0] + 1} column "
+                              f"{columns[cols[0]]!r} is not a finite number")
     model = make_trainer(args.classifier, seed=args.seed)(X, y)
     path = _out_path(args, f"model_{CLASSIFIERS[args.classifier]}.json")
     with open(path, "w", encoding="utf-8") as fh:

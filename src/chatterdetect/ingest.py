@@ -3,6 +3,7 @@ segment cutting and fixed-length windowing."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -193,8 +194,8 @@ def _two_stage(sosfilt, sos, x):
 class FilterCascade:
     """Chain of second-order recursive sections; empty cascade is the identity.
 
-    scipy.signal is imported by the methods that filter, not by this module,
-    so that commands which never filter do not pay for loading it.
+    scipy.signal is imported by the functions that design or filter, not by
+    this module, so that commands which never filter do not pay for loading it.
     """
 
     sos: np.ndarray  # shape (n_sections, 6)
@@ -290,6 +291,13 @@ def json_float(value, what):
     if not isfinite(number):
         raise ValidationError(f"{what} must be finite, got {number}")
     return number
+
+
+def _json_id(value, what):
+    """A JSON string or non-boolean number as text; anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"{what} must be a string or a number, got {value!r}")
+    return str(value)
 
 
 def _tokens(line):
@@ -474,9 +482,9 @@ def load_manifest(path):
                 ManifestRecord(
                     signal_path=signal_path,
                     label_path=label_path,
-                    stickout_id=str(rec["stickout_id"]),
+                    stickout_id=_json_id(rec["stickout_id"], "stickout_id"),
                     sample_rate_hz=rate,
-                    file_id=str(rec.get("file_id", f"rec{i:04d}")),
+                    file_id=_json_id(rec.get("file_id", f"rec{i:04d}"), "file_id"),
                 )
             )
         except KeyError as exc:
@@ -504,23 +512,14 @@ def load_manifest(path):
 
 
 def design_lowpass(order, cutoff_hz, sample_rate_hz):
-    """Digital Butterworth low-pass as a cascade of second-order sections.
+    """Digital Butterworth low-pass as a cascade of second-order sections,
+    `scipy.signal.butter`'s, kept per (order, cutoff, rate) within a process.
 
     Order 0 is accepted and yields the identity cascade.  A direct-form
     realization of high orders is numerically unusable, hence the cascade.
     Even so, the design breaks down at high orders and at cutoffs very low or
     near Nyquist: a design that fails, or has a non-finite coefficient or a
     DC gain off 1 by more than 1e-6, is a DomainError.
-
-    The sections are built in closed form, bitwise equal to
-    `scipy.signal.butter(order, cutoff_hz, fs=sample_rate_hz, output="sos")`
-    wherever that design passes these checks (Oppenheim and Schafer,
-    "Discrete-Time Signal Processing", 3rd ed., section 7.1): the analog
-    prototype's poles are scaled to the prewarped cutoff and moved to the z
-    plane by the bilinear transform.  Every zero lies at -1, so each section
-    takes one conjugate pole pair and b = [1, 2, 1], the first section also
-    takes the gain, and the sections are ordered as `zpk2sos` pairs them,
-    the pole nearest the unit circle last.
     """
     if order < 0 or order % 2 != 0:
         raise DomainError(f"filter order must be a nonnegative even integer, got {order}")
@@ -530,36 +529,31 @@ def design_lowpass(order, cutoff_hz, sample_rate_hz):
         raise DomainError(
             f"cutoff {cutoff_hz} Hz must lie in (0, {sample_rate_hz / 2}) Hz"
         )
+    return FilterCascade(_butter_sos(order, cutoff_hz, sample_rate_hz).copy())
+
+
+@functools.lru_cache(maxsize=8)
+def _butter_sos(order, cutoff_hz, sample_rate_hz):
+    """butter's sections, read-only; lru_cache keeps no refusal, so each is raised anew."""
+    from scipy.signal import butter
+
     degenerate = DomainError(
         f"order-{order} low-pass at {cutoff_hz:g} Hz for {sample_rate_hz:g} Hz "
         "sampling is numerically degenerate; lower the order or move the cutoff"
     )
-    # each step rounds as scipy's butter, lp2lp_zpk and bilinear_zpk do
-    wn = np.float64(cutoff_hz) / (float(sample_rate_hz) / 2)
-    if not 0 < wn < 1:  # the normalized cutoff underflowed to 0
-        raise degenerate
-    warped = float(4.0 * np.tan(np.pi * wn / 2.0))
-    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    # butter raises ValueError when the normalized cutoff underflows to 0 and
+    # OverflowError when its analog prototype's gain overflows near Nyquist;
+    # its other breakdowns return broken sections, with floating-point warnings
     with np.errstate(all="ignore"):
-        analog = warped * -np.exp(1j * np.pi * m / (2 * order))
         try:
-            gain = warped**order * np.real(1.0 / np.prod(4.0 - analog))
-        except OverflowError:  # the analog prototype's gain, near Nyquist
+            sos = butter(order, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos")
+        except (ValueError, OverflowError):
             raise degenerate from None
-        poles = (4.0 + analog) / (4.0 - analog)
-        upper = poles[poles.imag > 0]
-        if upper.size != order // 2:  # poles collapsed onto the real axis
-            raise degenerate
-        upper = upper[np.argsort(np.abs(1 - np.abs(upper)), kind="stable")[::-1]]
-        sos = np.zeros((order // 2, 6))
-        sos[:, :4] = [1.0, 2.0, 1.0, 1.0]
-        sos[:, 4] = 0.0 - 2 * upper.real  # +0.0, not -0.0, for a zero real part
-        sos[:, 5] = upper.real * upper.real + upper.imag * upper.imag
-        sos[0, :3] *= gain
         dc_gain = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
     if not (np.isfinite(sos).all() and abs(dc_gain - 1) <= 1e-6):
         raise degenerate
-    return FilterCascade(sos)
+    sos.flags.writeable = False  # callers get copies, which sosfilt can write
+    return sos
 
 
 def filter_and_downsample(ts, filt, target_rate_hz):

@@ -866,6 +866,21 @@ class TestErrorContract:
         assert "row 3" in record["message"] and str(features) in record["message"]
         assert not list(tmp_path.glob("model_*.json"))
 
+    @pytest.mark.parametrize("cell", ["x", "nan", "inf"])
+    def test_train_feature_not_finite_exit_1(self, tmp_path, capsys, cell):
+        features = tmp_path / "features.csv"
+        features.write_text(f"a,b,label\n1,2,0\n3,{cell},1\n5,6,1\n")
+        code, _, err = run(
+            capsys, "train", "--features", str(features), "--classifier", "svm",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert record["message"] == (
+            f"{features}: data row 2 column 'b' is not a finite number")
+        assert not list(tmp_path.glob("model_*.json"))
+
     @pytest.mark.parametrize("train, test", [(["A", "B", "C"], ["D"]),
                                              (["A"], ["C", "D"])])
     def test_transfer_config_counts_exit_1(self, corpus, capsys, tmp_path,

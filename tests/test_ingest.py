@@ -1,3 +1,4 @@
+import json
 import re
 import subprocess
 import sys
@@ -376,6 +377,46 @@ class TestDesignLowpass:
         else:
             assert sos is not None and sos.tobytes() == expected.tobytes()
 
+    def test_equal_designs_are_equal_copies(self):
+        first, second = design_lowpass(100, 4500, 160000), design_lowpass(100, 4500, 160000)
+        assert first.sos.tobytes() == second.sos.tobytes()
+        assert not np.shares_memory(first.sos, second.sos)
+
+    def test_writing_a_design_leaves_the_next_unchanged(self):
+        filt = design_lowpass(100, 4500, 160000)
+        expected = filt.sos.tobytes()
+        filt.sos[:] = 0.0
+        assert design_lowpass(100, 4500, 160000).sos.tobytes() == expected
+
+    def test_memoized_design_applies(self):
+        from scipy.signal import sosfilt
+
+        design_lowpass(100, 4500, 160000)
+        filt = design_lowpass(100, 4500, 160000)
+        x = np.random.default_rng(0).standard_normal(1000)
+        assert filt.apply(x).tobytes() == sosfilt(butter_or_none(100, 4500, 160000), x).tobytes()
+
+    def test_equal_designs_call_butter_once(self, monkeypatch):
+        import scipy.signal
+
+        calls, butter = [], scipy.signal.butter
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return butter(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "butter", spy)
+        ingest._butter_sos.cache_clear()
+        for _ in range(3):
+            design_lowpass(100, 4500, 160000)
+        design_lowpass(50, 4500, 160000)
+        assert calls == [(100, 4500), (50, 4500)]
+
+    def test_degenerate_design_raises_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DomainError, match="numerically degenerate"):
+                design_lowpass(400, 4500, 160000)
+
 
 def butter_or_none(order, cutoff, rate):
     """scipy's design for `design_lowpass`, or None where it must refuse: butter
@@ -407,7 +448,7 @@ def test_scipy_signal_loads_only_to_filter():
     src = Path(chatterdetect.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -5.0])
@@ -469,6 +510,26 @@ class TestManifestValues:
         with pytest.raises(ValidationError,
                            match=f"record 0: sample_rate_hz must be a number, got {shown}$"):
             load_manifest(path)
+
+
+    @pytest.mark.parametrize("field", ["stickout_id", "file_id"])
+    @pytest.mark.parametrize("value", [None, True, False, ["a"], {"a": 1}])
+    def test_non_string_id_rejected(self, tmp_path, field, value):
+        record = {"signal_path": "s.csv", "label_path": "l.csv", "stickout_id": "x",
+                  field: value}
+        path = write(tmp_path, json.dumps([record]), "manifest.json")
+        with pytest.raises(ValidationError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == (f"{path}: manifest record 0: {field} must be a string "
+                                  f"or a number, got {value!r}")
+
+    def test_numeric_and_string_ids_load_as_text(self, tmp_path):
+        path = write(tmp_path, '[{"signal_path": "s.csv", "label_path": "l.csv",'
+                               ' "stickout_id": 2.5, "file_id": 7},'
+                               ' {"signal_path": "s.csv", "label_path": "l.csv",'
+                               ' "stickout_id": "2.5", "file_id": "run 8"}]', "manifest.json")
+        records = load_manifest(path).records
+        assert [(r.stickout_id, r.file_id) for r in records] == [("2.5", "7"), ("2.5", "run 8")]
 
 
 class TestFilterAndDownsample:
