@@ -106,14 +106,17 @@ class PreparedConfig:
         """Informative component from the chatter-labeled samples among
         `indices`, as the selection record written into reports."""
         chatter = [self.samples[i] for i in indices if self.samples[i].label == 1]
-        if self.method == "wpt":
-            return select_packet(
-                [s.packet_energy_ratios for s in chatter],
-                FrequencyBand(*self.config.chatter_band_hz),
-                self.params["level"],
-                self.sample_rate_hz,
-            )
-        return select_imf([s.imf_band_fractions for s in chatter])
+        try:
+            if self.method == "wpt":
+                return select_packet(
+                    [s.packet_energy_ratios for s in chatter],
+                    FrequencyBand(*self.config.chatter_band_hz),
+                    self.params["level"],
+                    self.sample_rate_hz,
+                )
+            return select_imf([s.imf_band_fractions for s in chatter])
+        except DomainError as exc:
+            raise DomainError(f"stickout {self.config.stickout_id!r}: {exc}") from None
 
     def feature_rows(self, indices, selection):
         """Feature matrix of the samples at `indices` for the selected
@@ -387,7 +390,7 @@ def check_transfer_configs(train_ids, test_ids, combined):
 def _report_spec(spec, mode, trains, tests):
     """The report's spec record: the run's settings, the mode and its split,
     and the stickouts and decomposition of the prepared configs, which must
-    share one method and parameter record."""
+    share one method, parameter record and sample rate."""
     train_ids = [p.config.stickout_id for p in trains]
     test_ids = [p.config.stickout_id for p in tests]
     if mode != "within":
@@ -399,6 +402,11 @@ def _report_spec(spec, mode, trains, tests):
                 f"stickout {prep.config.stickout_id!r} was prepared with {prep.method} "
                 f"{prep.params}, but stickout {first.config.stickout_id!r} with "
                 f"{first.method} {first.params}")
+        if prep.sample_rate_hz != first.sample_rate_hz:
+            raise ValidationError(
+                f"a run's stickouts must share one sample rate: stickout "
+                f"{prep.config.stickout_id!r} was prepared at {prep.sample_rate_hz} Hz, "
+                f"but stickout {first.config.stickout_id!r} at {first.sample_rate_hz} Hz")
     return {
         "method": first.method,
         "classifier": spec.classifier,

@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -152,41 +151,32 @@ def _two_stage(sosfilt, sos, x):
     """`sosfilt(sos, x)` for float64 sos and 1-D x, as a pipeline over blocks
     on two threads.
 
-    A worker thread runs the first half of the sections on block k+1 while
-    the calling thread runs the second half on block k; sosfilt releases the
-    GIL, so the two overlap.  Each half carries its state from block to
-    block, so every sample sees the arithmetic of the single call.  An
-    exception in the worker is raised here, and the worker has ended when
-    this returns or raises.
+    A one-worker executor runs the first half of the sections on block k+1
+    while the calling thread runs the second half on block k; sosfilt releases
+    the GIL, so the two overlap.  Each half carries its state from block to
+    block, so every sample sees the arithmetic of the single call.  The
+    executor re-raises a worker exception here and joins its thread on exit.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     half = sos.shape[0] // 2
     head, tail = sos[:half], sos[half:]
     starts = range(0, x.size, _BLOCK)
     out = np.empty_like(x)
-    ready = threading.Semaphore(0)  # released once per block the head has filtered
-    failure = []
+    head_zi, tail_zi = np.zeros((half, 2)), np.zeros((tail.shape[0], 2))
 
-    def run_head():
-        try:
-            zi = np.zeros((half, 2))
-            for i in starts:
-                out[i : i + _BLOCK], zi = sosfilt(head, x[i : i + _BLOCK], zi=zi)
-                ready.release()
-        except BaseException as exc:  # re-raised by the calling thread
-            failure.append(exc)
-            ready.release()
+    def run_head(i):
+        # one worker runs the blocks one at a time and in order, so the head's
+        # state chains from block to block through head_zi
+        nonlocal head_zi
+        out[i : i + _BLOCK], head_zi = sosfilt(head, x[i : i + _BLOCK], zi=head_zi)
+        return i
 
-    worker = threading.Thread(target=run_head, name="FilterCascade.apply")
-    worker.start()
-    try:
-        zi = np.zeros((tail.shape[0], 2))
-        for i in starts:
-            ready.acquire()
-            if failure:
-                raise failure[0]
-            out[i : i + _BLOCK], zi = sosfilt(tail, out[i : i + _BLOCK], zi=zi)
-    finally:
-        worker.join()
+    # map yields a block's start once the head has written it into `out`, so
+    # no filtered block is held beside `out`
+    with ThreadPoolExecutor(1, thread_name_prefix="FilterCascade.apply") as pool:
+        for i in pool.map(run_head, starts):
+            out[i : i + _BLOCK], tail_zi = sosfilt(tail, out[i : i + _BLOCK], zi=tail_zi)
     return out
 
 

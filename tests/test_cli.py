@@ -213,6 +213,26 @@ class TestSelectAndFeatures:
         assert record["n_samples"] == 12
         assert len(table.dtype.names) == 15  # 14 features + label
 
+    @pytest.mark.parametrize("band, n_chatter, message", [
+        ([6000.0, 7000.0], 2, "chatter band (6000.0, 7000.0) overlaps no packet below the "
+                              "Nyquist frequency 5000.0 Hz"),
+        ([900.0, 1000.0], 0, "no chatter-labeled training samples for selection"),
+    ], ids=["band-above-nyquist", "no-chatter"])
+    def test_selection_error_names_the_stickout(self, capsys, tmp_path, band, n_chatter,
+                                                message):
+        manifest = write_corpus_files(tmp_path, make_segments(seed=0, n_stable=2,
+                                                              n_chatter=n_chatter))
+        doc = json.loads(manifest.read_text())
+        doc["configs"]["synth"]["chatter_band_hz"] = band
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--level", "3", "--out", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        assert error_record(err) == {"error": "DomainError",
+                                     "message": f"stickout 'synth': {message}"}
+
     def test_unknown_stickout_exit_1(self, corpus, capsys):
         tmp, manifest = corpus
         code, _, err = run(
@@ -482,14 +502,15 @@ class TestConfigFile:
         assert len(calls) == 1
 
 
-def stickouts_manifest(tmp_path, stickouts):
+def stickouts_manifest(tmp_path, stickouts, rates=None):
     """One manifest over several stickouts, each a small synthetic corpus in
-    a folder of its own, with file ids of its own."""
+    a folder of its own, with file ids of its own, sampled at FS unless
+    `rates` maps the stickout to another rate."""
     records, configs = [], {}
     for seed, sid in enumerate(stickouts):
         folder = tmp_path / sid
         folder.mkdir()
-        segments = make_segments(seed=seed, n_stable=4, n_chatter=4)
+        segments = make_segments(seed=seed, n_stable=4, n_chatter=4, fs=(rates or {}).get(sid, FS))
         doc = json.loads(write_corpus_files(folder, segments, sid).read_text())
         for rec in doc["records"]:
             rec["signal_path"] = f"{sid}/{rec['signal_path']}"
@@ -562,6 +583,35 @@ class TestEvaluateTransfer:
         report = json.loads(Path(json.loads(out)["output"]).read_text())
         expected = self.expected(manifest, ["A", "B"], ["C", "D"])
         assert report == json.loads(json.dumps(expected))
+
+    def test_stickouts_at_two_rates_exit_1(self, capsys, tmp_path):
+        manifest = stickouts_manifest(tmp_path, ["A", "B"], rates={"B": 20000.0})
+        code, out, err = run(
+            capsys, "evaluate-transfer", "--manifest", str(manifest), "--train-config", "A",
+            "--test-config", "B", "--method", "wpt", "--level", "3", "--classifier", "logreg",
+            "--out", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        record = error_record(err)
+        assert record["error"] == "ValidationError"
+        assert record["message"] == (
+            "a run's stickouts must share one sample rate: stickout 'B' was prepared at "
+            "20000.0 Hz, but stickout 'A' at 10000.0 Hz")
+
+    def test_selection_error_names_the_third_stickout(self, capsys, tmp_path):
+        manifest = stickouts_manifest(tmp_path, ["A", "B", "C", "D"])
+        doc = json.loads(manifest.read_text())
+        doc["configs"]["C"]["chatter_band_hz"] = [6000.0, 7000.0]
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "evaluate-transfer", "--manifest", str(manifest), "--train-config", "A",
+            "B", "--test-config", "C", "D", "--method", "wpt", "--level", "3",
+            "--classifier", "logreg", "--out", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        record = error_record(err)
+        assert record["error"] == "DomainError"
+        assert record["message"].startswith("stickout 'C': chatter band (6000.0, 7000.0)")
 
     def test_empty_config_list_is_a_usage_error(self, manifest, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -485,6 +485,25 @@ class TestOneSampleRate:
             else:
                 prepare_eemd_config(make_config(), segments, 1000, FAST_EEMD)
 
+    def test_transfer_across_rates_rejected(self, wpt_prepared):
+        fast = prepare_wpt_config(make_config("b"), make_segments(seed=1, fs=2 * FS), 3)
+        with pytest.raises(ValidationError, match=(
+                "^a run's stickouts must share one sample rate: stickout 'b' was prepared "
+                "at 20000.0 Hz, but stickout 'synth' at 10000.0 Hz$")):
+            run_transfer(run_spec(), wpt_prepared, fast)
+
+    def test_eemd_transfer_across_rates_rejected(self, eemd_prepared):
+        fast = renamed(eemd_prepared, "b", sample_rate_hz=2 * FS)
+        with pytest.raises(ValidationError, match="'b' was prepared at 20000.0 Hz"):
+            run_transfer(run_spec(), eemd_prepared, fast)
+
+    def test_combined_across_rates_rejected(self, wpt_prepared):
+        a, b, d = (renamed(wpt_prepared, sid) for sid in "abd")
+        c = prepare_wpt_config(make_config("c"), make_segments(seed=1, fs=2 * FS), 3)
+        with pytest.raises(ValidationError, match="stickout 'c' was prepared at 20000.0 Hz, "
+                                                  "but stickout 'a' at 10000.0 Hz"):
+            run_transfer_combined(run_spec(), [a, b], [c, d])
+
 
 def report_sha256(report):
     text = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))

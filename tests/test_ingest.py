@@ -30,7 +30,7 @@ from chatterdetect import (
     window_segments,
 )
 from chatterdetect import ingest
-from chatterdetect.ingest import _scan_timeseries
+from chatterdetect.ingest import ManifestRecord, _scan_timeseries
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -439,7 +439,7 @@ def test_scipy_signal_loads_only_to_filter():
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import chatterdetect, chatterdetect.cli\n"
-        "before = 'scipy.signal' in sys.modules\n"
+        "before = 'scipy.signal' in sys.modules or 'concurrent.futures.thread' in sys.modules\n"
         "filt = chatterdetect.design_lowpass(100, 4500, 160000)\n"
         "designed = 'scipy.signal' in sys.modules\n"
         "filt.apply([1.0, 2.0, 3.0])\n"
@@ -530,6 +530,115 @@ class TestManifestValues:
                                ' "stickout_id": "2.5", "file_id": "run 8"}]', "manifest.json")
         records = load_manifest(path).records
         assert [(r.stickout_id, r.file_id) for r in records] == [("2.5", "7"), ("2.5", "run 8")]
+
+
+# a JSON id is a string or a non-boolean number and loads as its text
+json_ids = st.one_of(st.text(max_size=6), st.integers(-10**6, 10**6),
+                     st.floats(allow_nan=False, allow_infinity=False))
+relative_paths = st.from_regex(r"[a-z]{1,6}(/[a-z]{1,6})?\.csv", fullmatch=True)
+HUGE_RATE = object()  # written into the JSON text as 1e400, beyond the float range
+bad_rates = st.one_of(st.text(max_size=5), st.none(), st.sampled_from([0, 0.0, -0.0]),
+                      st.integers(-10**30, 0),
+                      st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+                      st.just(HUGE_RATE))
+bad_ids = st.one_of(st.none(), st.booleans(), st.lists(json_ids, max_size=2),
+                    st.dictionaries(st.text(max_size=3), json_ids, max_size=2))
+bands = st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def manifest_documents(draw):
+    """Valid records, the configs map (None for the bare-list form, empty for
+    an object without one), and what each record loads as, its paths relative
+    to the manifest's folder: (signal, labels, stickout id, rate, file id)."""
+    file_ids = draw(st.lists(json_ids, min_size=1, max_size=5, unique_by=str))
+    records, loaded = [], []
+    for i, file_id in enumerate(file_ids):
+        rec = {"signal_path": draw(relative_paths), "label_path": draw(relative_paths),
+               "stickout_id": draw(json_ids)}
+        rate = draw(st.none() | st.integers(1, 10**30)
+                    | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+        if rate is not None:
+            rec["sample_rate_hz"] = rate
+        if draw(st.booleans()):
+            rec["file_id"] = file_id
+        records.append(rec)
+        loaded.append((rec["signal_path"], rec["label_path"], str(rec["stickout_id"]),
+                       10000.0 if rate is None else float(rate),
+                       str(rec.get("file_id", f"rec{i:04d}"))))
+    assume(len({r[-1] for r in loaded}) == len(loaded))
+    form = draw(st.sampled_from(["list", "object", "configs"]))
+    configs = draw(st.dictionaries(st.text(max_size=6), bands, max_size=3))
+    return records, {"list": None, "object": {}, "configs": configs}[form], loaded
+
+
+def manifest_text(records, configs, huge_rate_at=None):
+    """The manifest as JSON: a bare list when configs is None, else an object
+    with a configs map when it is nonempty; record huge_rate_at gets the rate
+    1e400, which json.dumps cannot write."""
+    texts = [json.dumps(rec) for rec in records]
+    if huge_rate_at is not None:
+        texts[huge_rate_at] = texts[huge_rate_at][:-1] + ', "sample_rate_hz": 1e400}'
+    text = "[" + ", ".join(texts) + "]"
+    if configs is None:
+        return text
+    if configs:
+        bands_text = json.dumps({k: {"chatter_band_hz": v} for k, v in configs.items()})
+        text += f', "configs": {bands_text}'
+    return '{"records": ' + text + "}"
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("manifests")
+
+
+class TestManifestProperties:
+    @settings(deadline=None, max_examples=80)
+    @given(doc=manifest_documents())
+    def test_valid_records_load(self, manifest_dir, doc):
+        records, configs, loaded = doc
+        path = write(manifest_dir, manifest_text(records, configs), "manifest.json")
+        manifest = load_manifest(path)
+        folder = manifest_dir.resolve()
+        assert manifest.records == [
+            ManifestRecord(str(folder / signal), str(folder / labels), sid, rate, file_id)
+            for signal, labels, sid, rate, file_id in loaded]
+        assert all(type(r.sample_rate_hz) is float for r in manifest.records)
+        assert manifest.configs == {sid: CuttingConfig(sid, tuple(band))
+                                    for sid, band in (configs or {}).items()}
+
+    @settings(deadline=None, max_examples=120)
+    @given(doc=manifest_documents(), data=st.data())
+    def test_corrupt_record_is_named(self, manifest_dir, doc, data):
+        records, configs, loaded = doc
+        i = data.draw(st.integers(0, len(records) - 1), label="corrupt record")
+        rec, huge_rate_at = records[i], None
+        fault = data.draw(st.sampled_from(["missing", "rate", "id", "repeated"]), label="fault")
+        if fault == "missing":
+            del rec[data.draw(st.sampled_from(["signal_path", "label_path", "stickout_id"]))]
+        elif fault == "rate":
+            rec.pop("sample_rate_hz", None)
+            rate = data.draw(bad_rates, label="rate")
+            if rate is HUGE_RATE:
+                huge_rate_at = i
+            else:
+                rec["sample_rate_hz"] = rate
+        elif fault == "id":
+            rec[data.draw(st.sampled_from(["stickout_id", "file_id"]))] = data.draw(bad_ids)
+        else:
+            assume(i > 0)
+            j = data.draw(st.integers(0, i - 1), label="earlier record")
+            rec["file_id"] = loaded[j][-1]
+        path = write(manifest_dir, manifest_text(records, configs, huge_rate_at),
+                     "manifest.json")
+        with pytest.raises(ValidationError) as exc:
+            load_manifest(path)
+        if fault == "repeated":
+            assert str(exc.value) == (f"{path}: manifest records {j} and {i} share file_id "
+                                      f"{loaded[j][-1]!r}")
+        else:
+            assert re.match(rf"{re.escape(str(path))}: manifest record {i}[: ]", str(exc.value))
 
 
 class TestFilterAndDownsample:
