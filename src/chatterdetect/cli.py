@@ -199,14 +199,13 @@ def _cmd_decompose(args):
 def _prepare(args, stickout_ids):
     """Prepare each stickout configuration from one load of the manifest."""
     manifest = load_manifest(args.manifest)
+    # each stickout's first record gives its rate: refuse a mismatch before reading
+    rates = {rec.stickout_id: rec.sample_rate_hz for rec in reversed(manifest.records)}
+    harness.check_sample_rates({sid: rates[sid] for sid in stickout_ids if sid in rates})
     eemd_params = _eemd_params(args) if args.method == "eemd" else None
-    return [
-        harness.prepare_from_manifest(
-            manifest, sid, args.method, level=args.level,
-            window_len=args.window_len, eemd_params=eemd_params,
-        )
-        for sid in stickout_ids
-    ]
+    return [harness.prepare_from_manifest(manifest, sid, args.method, level=args.level,
+                                          window_len=args.window_len, eemd_params=eemd_params)
+            for sid in stickout_ids]
 
 
 def _select_all(args):

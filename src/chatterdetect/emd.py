@@ -400,6 +400,12 @@ def _as_signal(x):
     return x
 
 
+def check_window_len(window_len):
+    """Refuse an EEMD window too short to decompose."""
+    if window_len < MIN_SAMPLES:
+        raise DomainError(f"window_len must be at least {MIN_SAMPLES} for EEMD, got {window_len}")
+
+
 def emd(x, work=None):
     """Plain EMD: successive sifting until a monotonic residue remains or
     MAX_IMFS IMFs are out.

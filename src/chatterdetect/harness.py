@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emd import MIN_SAMPLES, EemdParams, eemd
+from .emd import EemdParams, check_window_len, eemd
 from .errors import DomainError, ValidationError
 from .features import (
     EEMD_FEATURE_NAMES,
@@ -41,11 +41,11 @@ from .ingest import (
 )
 from .ml import CLASSIFIERS, make_trainer, nested_feature_accuracies, rfe_rank
 from .select import in_band_fraction, select_imf, select_packet
-from .wavelet import FrequencyBand, PacketTree, energy_ratios, reconstruct_packet, wpt_decompose
+from .wavelet import (FrequencyBand, PacketTree, check_level, energy_ratios,
+                      reconstruct_packet, wpt_decompose)
 
 WITHIN_SPLIT = (0.67, 0.33)
 TRANSFER_SPLIT = (0.70, 0.70)
-MAX_SPLIT_ATTEMPTS = 100
 FEATURE_NAMES = {"wpt": WPT_FEATURE_NAMES, "eemd": EEMD_FEATURE_NAMES}
 
 
@@ -158,6 +158,7 @@ def prepare_wpt_config(config, segments, level):
     energy ratios."""
     if not segments:
         raise ValidationError("no labeled segments to prepare")
+    check_level(level)
     fs = _sample_rate(segments)
     prepared = []
     for seg in segments:
@@ -182,8 +183,7 @@ def prepare_wpt_config(config, segments, level):
 def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
     """Window every segment, decompose all windows in one eemd call, featurize
     every IMF."""
-    if window_len < MIN_SAMPLES:
-        raise DomainError(f"window_len must be at least {MIN_SAMPLES} for EEMD, got {window_len}")
+    check_window_len(window_len)
     if eemd_params is None:
         eemd_params = EemdParams()
     windows = window_segments(segments, window_len)
@@ -234,6 +234,10 @@ def prepare_from_manifest(manifest, stickout_id, method, level=4,
                           window_len=1000, eemd_params=None):
     if method not in FEATURE_NAMES:
         raise ValidationError(f"unknown method {method!r}; use 'wpt' or 'eemd'")
+    if method == "wpt":
+        check_level(level)
+    else:
+        check_window_len(window_len)
     config = manifest.config(stickout_id)
     segments = segments_from_manifest(manifest, stickout_id)
     if method == "wpt":
@@ -244,43 +248,28 @@ def prepare_from_manifest(manifest, stickout_id, method, level=4,
 # ---------------------------------------------------------------------------
 # splitting
 
-def _stratified_split(labels, fraction, rng, groups=None):
-    """Indices of a stratified draw and its complement.
-
-    Whole groups land on one side, and stratification is by group label;
-    without groups, each sample is its own group.
-    """
-    labels = np.asarray(labels)
+def _draw_split(labels, fraction, rng, groups=None, need_complement=True):
+    """Indices of a stratified draw of `fraction` of each class's groups (each
+    sample is a group without `groups`) and of its complement.  A class gives
+    round(fraction * its group count) groups whatever the random state, so a
+    draw leaving a needed side without a class is refused before it is made."""
     keys = {}
-    for i, g in enumerate(range(labels.size) if groups is None else groups):
+    for i, g in enumerate(range(len(labels)) if groups is None else groups):
         keys.setdefault(g, []).append(i)
     units = [tuple(v) for _, v in sorted(keys.items())]
     unit_labels = np.asarray([labels[u[0]] for u in units])
+    sizes = dict(zip(*(a.tolist() for a in np.unique(unit_labels, return_counts=True))))
+    takes = {c: int(round(fraction * m)) for c, m in sizes.items()}
+    if len(sizes) != 2 or not all(1 <= takes[c] <= m - need_complement for c, m in sizes.items()):
+        raise DomainError(
+            f"cannot draw {fraction} of {sizes} {'samples' if groups is None else 'segments'} "
+            f"per class with both classes {'on each side' if need_complement else 'drawn'}")
     part, rest = [], []
-    for cls in np.unique(unit_labels):
-        members = np.flatnonzero(unit_labels == cls)
-        perm = rng.permutation(members)
-        n_take = int(round(fraction * members.size))
-        n_take = min(max(n_take, 0), members.size)
-        for u in perm[:n_take]:
-            part.extend(units[u])
-        for u in perm[n_take:]:
-            rest.extend(units[u])
+    for cls, n_take in takes.items():
+        perm = rng.permutation(np.flatnonzero(unit_labels == cls))
+        part += [i for u in perm[:n_take] for i in units[u]]
+        rest += [i for u in perm[n_take:] for i in units[u]]
     return np.asarray(sorted(part), dtype=int), np.asarray(sorted(rest), dtype=int)
-
-
-def _draw_split(labels, fraction, rng, groups=None, need_complement=True):
-    for _ in range(MAX_SPLIT_ATTEMPTS):
-        part, rest = _stratified_split(labels, fraction, rng, groups)
-        ok = part.size > 0 and np.unique(labels[part]).size == 2
-        if need_complement:
-            ok = ok and rest.size > 0 and np.unique(labels[rest]).size == 2
-        if ok:
-            return part, rest
-    raise DomainError(
-        "could not draw a split with both classes on each side "
-        f"after {MAX_SPLIT_ATTEMPTS} attempts"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +376,16 @@ def check_transfer_configs(train_ids, test_ids, combined):
                               f"and test {list(test_ids)}")
 
 
+def check_sample_rates(rates):
+    """Refuse a {stickout id: sample rate} map unless every rate is the first's."""
+    first, fs = next(iter(rates.items()), (None, None))
+    for sid, rate in rates.items():
+        if rate != fs:
+            raise ValidationError(f"a run's stickouts must share one sample rate: stickout "
+                                  f"{sid!r} was prepared at {rate} Hz, but stickout {first!r} "
+                                  f"at {fs} Hz")
+
+
 def _report_spec(spec, mode, trains, tests):
     """The report's spec record: the run's settings, the mode and its split,
     and the stickouts and decomposition of the prepared configs, which must
@@ -402,11 +401,7 @@ def _report_spec(spec, mode, trains, tests):
                 f"stickout {prep.config.stickout_id!r} was prepared with {prep.method} "
                 f"{prep.params}, but stickout {first.config.stickout_id!r} with "
                 f"{first.method} {first.params}")
-        if prep.sample_rate_hz != first.sample_rate_hz:
-            raise ValidationError(
-                f"a run's stickouts must share one sample rate: stickout "
-                f"{prep.config.stickout_id!r} was prepared at {prep.sample_rate_hz} Hz, "
-                f"but stickout {first.config.stickout_id!r} at {first.sample_rate_hz} Hz")
+    check_sample_rates({p.config.stickout_id: p.sample_rate_hz for p in (*trains, *tests)})
     return {
         "method": first.method,
         "classifier": spec.classifier,
@@ -448,26 +443,20 @@ def _realize(spec, mode, trains, tests, draw):
     return _aggregate(record, logs)
 
 
-def _groups(spec, prepared):
-    """Per-sample split groups under a grouped split, else None."""
-    return [s.group for s in prepared.samples] if spec.grouped_split else None
-
-
-def _draw_side(spec, prepared, fraction, rng):
-    """A stratified draw of one dataset, without a complement."""
-    idx, _ = _draw_split(prepared.labels, fraction, rng, _groups(spec, prepared),
-                         need_complement=False)
-    return idx
+def _split(spec, prepared, fraction, rng, need_complement=False):
+    """_draw_split on a prepared config, by segment under a grouped split."""
+    groups = [s.group for s in prepared.samples] if spec.grouped_split else None
+    try:
+        return _draw_split(prepared.labels, fraction, rng, groups, need_complement)
+    except DomainError as exc:
+        raise DomainError(f"stickout {prepared.config.stickout_id!r}: {exc}") from None
 
 
 def run_within(spec, prepared):
     """Repeated stratified split-train-test on a single configuration."""
-    labels = prepared.labels
-    groups = _groups(spec, prepared)
-
     def draw(r):
         rng = np.random.default_rng([spec.master_seed, r])
-        train_idx, test_idx = _draw_split(labels, WITHIN_SPLIT[0], rng, groups)
+        train_idx, test_idx = _split(spec, prepared, WITHIN_SPLIT[0], rng, need_complement=True)
         selection = prepared.select(train_idx)
         return ([(prepared, train_idx, selection)],
                 [(prepared, test_idx, selection)], selection)
@@ -483,8 +472,8 @@ def run_transfer(spec, prepared_train, prepared_test):
     """
     def draw(r):
         rng = np.random.default_rng([spec.master_seed, r])
-        train_idx = _draw_side(spec, prepared_train, TRANSFER_SPLIT[0], rng)
-        test_idx = _draw_side(spec, prepared_test, TRANSFER_SPLIT[1], rng)
+        train_idx = _split(spec, prepared_train, TRANSFER_SPLIT[0], rng)[0]
+        test_idx = _split(spec, prepared_test, TRANSFER_SPLIT[1], rng)[0]
         selection = prepared_train.select(train_idx)
         return ([(prepared_train, train_idx, selection)],
                 [(prepared_test, test_idx, selection)], selection)
@@ -507,7 +496,7 @@ def run_transfer_combined(spec, prepared_trains, prepared_tests):
             parts = []
             for pos, prep in enumerate(datasets):
                 rng = np.random.default_rng([spec.master_seed, r, side_code, pos])
-                idx = _draw_side(spec, prep, fraction, rng)
+                idx = _split(spec, prep, fraction, rng)[0]
                 selection = prep.select(idx)
                 selections[prep.config.stickout_id] = selection
                 parts.append((prep, idx, selection))

@@ -123,10 +123,15 @@ class PacketTree:
             )
 
 
-def wpt_decompose(ts, level):
-    """Full db10 wavelet-packet decomposition of a time series up to `level`."""
+def check_level(level):
+    """Refuse a decomposition depth outside 1..MAX_LEVEL."""
     if not 1 <= level <= MAX_LEVEL:
         raise DomainError(f"level must lie in 1..{MAX_LEVEL}, got {level}")
+
+
+def wpt_decompose(ts, level):
+    """Full db10 wavelet-packet decomposition of a time series up to `level`."""
+    check_level(level)
     n = ts.samples.size
     if n < 2**level:
         raise DomainError(f"series of length {n} too short for level {level}")

@@ -275,6 +275,23 @@ class TestTrainAndEvaluate:
         report = json.loads(open(record["output"]).read())
         assert report["n_realizations"] == 2
 
+    @pytest.mark.parametrize("grouped, noun", [([], "samples"),
+                                               (["--grouped-split"], "segments")])
+    def test_split_refusal_names_the_class_counts(self, capsys, tmp_path, grouped, noun):
+        # 0.67 of one chatter segment rounds to all of it, leaving the test
+        # side without chatter whatever the seed
+        manifest = write_corpus_files(tmp_path, make_segments(seed=0, n_stable=4, n_chatter=1))
+        code, out, err = run(
+            capsys, "evaluate-within", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--level", "3", "--classifier", "logreg", *grouped,
+            "--out", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        assert error_record(err) == {
+            "error": "DomainError",
+            "message": f"stickout 'synth': cannot draw 0.67 of {{0: 4, 1: 1}} {noun} per "
+                       "class with both classes on each side"}
+
     def test_eemd_flags_reach_the_decomposition(self, corpus, capsys, tmp_path):
         _, manifest = corpus
         code, out, _ = run(
@@ -420,6 +437,21 @@ class TestConfigFile:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and next(iter(values)) in err
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("{not json", "line 1: not valid JSON: Expecting property name"),
+        ("[1, 2]", "expected a JSON object"),
+    ])
+    def test_config_not_a_json_object_is_a_usage_error(self, corpus, capsys, tmp_path,
+                                                       text, fragment):
+        _, manifest = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--config", str(cfg), "--manifest", str(manifest),
+                  "--stickout", "synth", "--method", "wpt", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"--config {cfg}: {fragment}" in capsys.readouterr().err
 
     def test_byte_order_mark_accepted(self, corpus, capsys, tmp_path):
         _, manifest = corpus
@@ -597,6 +629,25 @@ class TestEvaluateTransfer:
         assert record["message"] == (
             "a run's stickouts must share one sample rate: stickout 'B' was prepared at "
             "20000.0 Hz, but stickout 'A' at 10000.0 Hz")
+
+    def test_stickouts_at_two_rates_refused_before_reading(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # each stickout's first record gives its rate, so no recording of
+        # either stickout is loaded, let alone decomposed
+        manifest = stickouts_manifest(tmp_path, ["A", "B"], rates={"B": 20000.0})
+        calls = []
+        monkeypatch.setattr(harness, "segments_from_manifest",
+                            lambda *args: calls.append(args))
+        code, out, err = run(
+            capsys, "evaluate-transfer", "--manifest", str(manifest), "--train-config", "A",
+            "--test-config", "B", "--method", "eemd", "--classifier", "logreg",
+            "--out", str(tmp_path),
+        )
+        assert code == 1 and out == "" and calls == []
+        assert error_record(err) == {
+            "error": "ValidationError",
+            "message": "a run's stickouts must share one sample rate: stickout 'B' was "
+                       "prepared at 20000.0 Hz, but stickout 'A' at 10000.0 Hz"}
 
     def test_selection_error_names_the_third_stickout(self, capsys, tmp_path):
         manifest = stickouts_manifest(tmp_path, ["A", "B", "C", "D"])
@@ -789,6 +840,8 @@ class TestErrorContract:
         pytest.param(f'{{"configs": {{"x": {{"chatter_band_hz": [900, 1{"0" * 400}]}}}}}}',
                      "ValidationError", "stickout 'x': chatter band edge must be finite",
                      id="huge-band-edge"),
+        ('{"records": {}}', "ValidationError", "records must be a list and configs an object"),
+        ("[3]", "ValidationError", "manifest record 0 is not an object"),
     ])
     def test_bad_manifest_exit_1(self, tmp_path, capsys, text, error, fragment):
         manifest = tmp_path / "manifest.json"
@@ -1115,6 +1168,30 @@ class TestErrorContract:
         assert record["error"] == "ValidationError"
         assert "'file01'" in record["message"] and "20000.0 Hz" in record["message"]
         assert "10000.0 Hz" in record["message"]
+
+    def test_interval_start_after_end_names_label_file(self, tmp_path, capsys):
+        manifest = write_corpus_files(tmp_path, make_segments(seed=0, n_stable=1, n_chatter=1))
+        labels = tmp_path / "labels_00.csv"
+        labels.write_text("0.5,0.1,stable\n")
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "synth",
+            "--method", "wpt", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert error_record(err) == {
+            "error": "ValidationError",
+            "message": f"{labels}: line 1: interval start 0.5 must precede end 0.1"}
+
+    def test_built_in_stickout_without_records_exit_1(self, corpus, capsys, tmp_path):
+        # '2' has a built-in chatter band, so only the missing data is wrong
+        _, manifest = corpus
+        code, _, err = run(
+            capsys, "select", "--manifest", str(manifest), "--stickout", "2",
+            "--method", "wpt", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert error_record(err) == {"error": "ValidationError",
+                                     "message": "manifest holds no data for stickout '2'"}
 
     def test_interval_outside_recording_names_label_file(self, tmp_path, capsys):
         [segment] = make_segments(seed=0, n_stable=1, n_chatter=0)  # 0.3 s

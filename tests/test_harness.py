@@ -117,6 +117,12 @@ class TestPreparation:
         ids = [s.sample_id for s in wpt_prepared.samples]
         assert ids == sorted(ids)
 
+    def test_bad_level_names_no_file(self, monkeypatch):
+        # the level is refused before the first segment is decomposed
+        monkeypatch.setattr(harness, "wpt_decompose", None)
+        with pytest.raises(DomainError, match="^level must lie in 1..4, got 7$"):
+            prepare_wpt_config(make_config(), make_segments(seed=0), level=7)
+
     def test_eemd_shapes(self, eemd_prepared):
         assert len(eemd_prepared.samples) == 24  # 12 segments x 2 windows
         s = eemd_prepared.samples[0]
@@ -228,11 +234,11 @@ class TestLazyPacketFeatures:
 
 
 @st.composite
-def labeled_groups(draw):
-    """Shuffled labels with at least two single-class groups per class."""
+def labeled_groups(draw, min_groups=2):
+    """Shuffled labels with at least `min_groups` single-class groups per class."""
     labels, groups = [], []
     for cls in (0, 1):
-        sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+        sizes = draw(st.lists(st.integers(1, 3), min_size=min_groups, max_size=6))
         for g, size in enumerate(sizes):
             labels += [cls] * size
             groups += [(cls, g)] * size
@@ -266,6 +272,55 @@ class TestDrawSplit:
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
             _draw_split(np.zeros(6, dtype=int), 0.5, np.random.default_rng(0))
+
+    @staticmethod
+    def retrying_split(labels, fraction, rng, groups, need_complement):
+        """The earlier implementation: redraw up to 100 times until each
+        needed side holds both classes."""
+        keys = {}
+        for i, g in enumerate(range(labels.size) if groups is None else groups):
+            keys.setdefault(g, []).append(i)
+        units = [tuple(v) for _, v in sorted(keys.items())]
+        unit_labels = np.asarray([labels[u[0]] for u in units])
+        for _ in range(100):
+            part, rest = [], []
+            for cls in np.unique(unit_labels):
+                members = np.flatnonzero(unit_labels == cls)
+                perm = rng.permutation(members)
+                n_take = int(round(fraction * members.size))
+                n_take = min(max(n_take, 0), members.size)
+                for u in perm[:n_take]:
+                    part.extend(units[u])
+                for u in perm[n_take:]:
+                    rest.extend(units[u])
+            part = np.asarray(sorted(part), dtype=int)
+            rest = np.asarray(sorted(rest), dtype=int)
+            ok = part.size > 0 and np.unique(labels[part]).size == 2
+            if need_complement:
+                ok = ok and rest.size > 0 and np.unique(labels[rest]).size == 2
+            if ok:
+                return part, rest
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_groups(min_groups=1), st.floats(0.05, 0.95), st.booleans(),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_equals_the_retrying_draw(self, data, fraction, grouped, need_complement, seed):
+        # a class gives round(fraction * its group count) groups whatever the
+        # random state, so the first draw decides; one draw matches the
+        # retries' indices where they succeed and refuses where they give up
+        labels, groups = data
+        groups = groups if grouped else None
+        expected = self.retrying_split(labels, fraction, np.random.default_rng(seed), groups,
+                                       need_complement)
+        if expected is None:
+            with pytest.raises(DomainError, match=f"cannot draw {fraction} of "):
+                _draw_split(labels, fraction, np.random.default_rng(seed), groups,
+                            need_complement)
+        else:
+            part, rest = _draw_split(labels, fraction, np.random.default_rng(seed), groups,
+                                     need_complement)
+            assert np.array_equal(part, expected[0]) and np.array_equal(rest, expected[1])
 
 
 class TestRunWithin:
@@ -569,6 +624,19 @@ class TestManifestFlow:
         monkeypatch.setattr(harness, "segments_from_manifest", None)  # fails before any load
         with pytest.raises(ValidationError, match="unknown method 'WPT'"):
             prepare_from_manifest(manifest, "synth", "WPT", level=3)
+
+    @pytest.mark.parametrize("method, params, message", [
+        ("wpt", {"level": 0}, "level must lie in 1..4, got 0"),
+        ("wpt", {"level": 7}, "level must lie in 1..4, got 7"),
+        ("eemd", {"window_len": 3}, "window_len must be at least 4 for EEMD, got 3"),
+    ])
+    def test_bad_parameter_rejected_before_loading(self, tmp_path, monkeypatch, method,
+                                                   params, message):
+        manifest = load_manifest(write_corpus_files(tmp_path, make_segments(seed=4, n_stable=2,
+                                                                            n_chatter=2)))
+        monkeypatch.setattr(harness, "segments_from_manifest", None)  # fails before any load
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            prepare_from_manifest(manifest, "synth", method, **params)
 
     @pytest.mark.parametrize("ids, first", [(["file00", "file01", "file00"], 0),
                                             ([None, "rec0000"], 0),

@@ -494,6 +494,13 @@ class TestManifestValues:
             load_manifest(path)
         assert str(exc.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("stickout, band", [("2", (900.0, 1000.0)),
+                                                ("11.43", (2900.0, 3000.0))])
+    def test_built_in_band_without_configs(self, tmp_path, stickout, band):
+        path = write(tmp_path, '[{"signal_path": "s.csv", "label_path": "l.csv",'
+                               f' "stickout_id": "{stickout}"}}]', "manifest.json")
+        assert load_manifest(path).config(stickout) == CuttingConfig(stickout, band)
+
     def test_boolean_sample_rate_rejected(self, tmp_path):
         path = write(tmp_path, '[{"signal_path": "s.csv", "label_path": "l.csv",'
                                ' "stickout_id": "x", "sample_rate_hz": true}]', "manifest.json")

@@ -241,6 +241,11 @@ class TestBoosting:
         b = train_boosting(X, y)
         assert np.array_equal(a.decision_function(X), b.decision_function(X))
 
+    def test_votes_rejected(self):
+        X, y = blobs(seed=17, n_per=10, d=2)
+        with pytest.raises(DomainError, match="votes are defined for forests only"):
+            train_boosting(X, y).votes(X)
+
 
 # The per-cut split loops the vectorized search replaced, kept as its oracle.
 # The one deliberate change is the threshold (see _reference_threshold).
@@ -509,6 +514,11 @@ class TestRfe:
     def test_single_feature(self):
         X, y = blobs(d=1)
         assert rfe_rank(X, y, make_trainer("logistic")).order == (0,)
+
+    def test_no_feature_rejected(self):
+        _, y = blobs()
+        with pytest.raises(DomainError, match="need at least one feature"):
+            rfe_rank(np.empty((y.size, 0)), y, make_trainer("logistic"))
 
     def test_invalid_permutation_rejected(self):
         with pytest.raises(DomainError):

@@ -190,6 +190,10 @@ class TestPacketBand:
         with pytest.raises(DomainError):
             packet_band(3, 9, FS)
 
+    def test_level_zero_rejected(self):
+        with pytest.raises(DomainError, match="level must be positive, got 0"):
+            packet_band(0, 1, FS)
+
 
 class TestPredictInformativePackets:
     @pytest.mark.parametrize(
@@ -213,3 +217,8 @@ class TestPredictInformativePackets:
             hi = lo + rng.uniform(10, 800)
             got = sorted(predict_informative_packets(FrequencyBand(lo, hi), 4, FS))
             assert got == list(range(got[0], got[-1] + 1))
+
+    @pytest.mark.parametrize("band", [(1000, 1000), (1000, 900), (-5, 300)])
+    def test_empty_or_negative_band_rejected(self, band):
+        with pytest.raises(DomainError, match="band must satisfy 0 <= low < high"):
+            predict_informative_packets(FrequencyBand(*band), 4, FS)
