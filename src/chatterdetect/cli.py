@@ -55,8 +55,8 @@ def build_parser():
     manifest.add_argument("--window-len", type=int, default=1000)
     manifest.add_argument(
         "--workers", type=int, default=1,
-        help="accepted and ignored: EEMD runs in one thread, and its results "
-             "are bitwise identical for any batch composition",
+        help="accepted and ignored: EEMD preparation splits large inputs across "
+             "every CPU the process may use, with bitwise identical results",
     )
 
     evaluation = argparse.ArgumentParser(add_help=False)

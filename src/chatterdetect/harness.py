@@ -18,13 +18,15 @@ the prepared configs, and the mode and split from the run function.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import ingest
 from .emd import EemdParams, check_window_len, eemd
-from .errors import DomainError, ValidationError
+from .errors import ChatterDetectError, DomainError, ValidationError
 from .features import (
     EEMD_FEATURE_NAMES,
     WPT_FEATURE_NAMES,
@@ -180,9 +182,67 @@ def prepare_wpt_config(config, segments, level):
     return PreparedConfig(config, "wpt", fs, {"level": level}, prepared)
 
 
+# prepare_eemd_config sifts its windows in several processes once the windows
+# x ensemble members x samples to sift reach _MIN_SPLIT_SAMPLES.  A pool of
+# forked workers costs about 6 ms to start, feed and join, and copy-on-write
+# faults in both processes add to it; on a 2-core x86 machine the split broke
+# even between 16,000 and 20,000 member samples (4-5 windows of 1000 samples
+# at ensemble 4), where one process sifts for about 30-60 ms.
+_MIN_SPLIT_SAMPLES = 20_000
+
+
+def _featurize_windows(x, params, band, fs):
+    """Per window (row) of x: its (imf_features, imf_band_fractions), or None
+    when it has no IMFs.  A ChatterDetectError in featurizing a window takes
+    that window's place and ends the list, so the caller raises the first
+    in window order, as featurizing all windows in one loop would."""
+    rows = []
+    for imfs in eemd(x, params):
+        if imfs.n_imfs == 0:
+            rows.append(None)  # degenerate window with no oscillation
+            continue
+        try:
+            rows.append((
+                np.vstack([eemd_features(imfs, i + 1) for i in range(imfs.n_imfs)]),
+                np.asarray([in_band_fraction(c, band, fs) for c in imfs.imfs]),
+            ))
+        except ChatterDetectError as exc:
+            return rows + [exc]
+    return rows
+
+
+def _featurize_chunks(x, params, band, fs):
+    """_featurize_windows of the interleaved chunks x[j::c], one per usable
+    CPU.  The calling process featurizes chunk 0 while forked workers do the
+    rest; eemd's results do not depend on which windows share a call, so
+    every bit is that of one call on all of x.  One chunk, in this process,
+    when the input is below _MIN_SPLIT_SAMPLES, when one CPU is usable, when
+    another thread is alive (forking beside it is unsafe) or when the
+    platform cannot fork."""
+    c = min(ingest._usable_cpus(), len(x))
+    members = params.ensemble_size if params.noise_std_fraction > 0 else 1
+    if c < 2 or x.size * members < _MIN_SPLIT_SAMPLES or threading.active_count() != 1:
+        return [_featurize_windows(x, params, band, fs)]
+    import multiprocessing  # here, so that commands without EEMD do not load it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [_featurize_windows(x, params, band, fs)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(c - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_featurize_windows, x[j::c], params, band, fs)
+                   for j in range(1, c)]
+        own = _featurize_windows(x[::c], params, band, fs)
+        return [own] + [f.result() for f in futures]
+
+
 def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
-    """Window every segment, decompose all windows in one eemd call, featurize
-    every IMF."""
+    """Window every segment, decompose the windows and featurize every IMF.
+
+    Large inputs are decomposed and featurized in interleaved chunks across
+    worker processes (_featurize_chunks), which hand back feature rows, not
+    IMFs; the samples are bitwise those of one process.
+    """
     check_window_len(window_len)
     if eemd_params is None:
         eemd_params = EemdParams()
@@ -191,22 +251,25 @@ def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
         raise ValidationError("no windows to prepare; segments shorter than window_len")
     fs = _sample_rate(windows)
     band = FrequencyBand(*config.chatter_band_hz)
-    decomposed = eemd(np.stack([win.series.samples for win in windows]), eemd_params)
+    chunks = _featurize_chunks(np.stack([win.series.samples for win in windows]),
+                               eemd_params, band, fs)
     counters = {}
     prepared = []
-    for win, imfs in zip(windows, decomposed):
+    for i, win in enumerate(windows):
         w_idx = counters.get(win.source, 0)
         counters[win.source] = w_idx + 1
-        if imfs.n_imfs == 0:
-            continue  # degenerate window with no oscillation
-        feats = np.vstack([eemd_features(imfs, i + 1) for i in range(imfs.n_imfs)])
-        fractions = np.asarray([in_band_fraction(c, band, fs) for c in imfs.imfs])
+        # window i is entry i // c of chunk i % c; a chunk ends at its error
+        row = chunks[i % len(chunks)][i // len(chunks)]
+        if isinstance(row, ChatterDetectError):
+            raise row
+        if row is None:
+            continue
         prepared.append(
             PreparedSample(
                 sample_id=(win.source[0], win.source[1], w_idx),
                 label=win.label,
-                imf_features=feats,
-                imf_band_fractions=fractions,
+                imf_features=row[0],
+                imf_band_fractions=row[1],
             )
         )
     prepared.sort(key=lambda s: s.sample_id)

@@ -173,6 +173,157 @@ class TestPreparation:
         assert np.array_equal(X, np.vstack([np.zeros(7), full.imf_features[1]]))
 
 
+def worker_segments(offsets=()):
+    """Seven 1000-sample segments, one window each: six from the synthetic
+    corpus and a constant one at window 1, which lands in a worker's chunk
+    for any process count.  offsets maps a window index to a constant added
+    to that segment, to mark its window."""
+    segments = make_segments(seed=3, n_stable=3, n_chatter=3, seg_len=1000)
+    segments.insert(1, Segment(TimeSeries(np.full(1000, 0.25), FS), 0, ("flat", 0)))
+    for i, offset in dict(offsets).items():
+        seg = segments[i]
+        segments[i] = Segment(TimeSeries(seg.series.samples + offset, FS), seg.label, seg.source)
+    return segments
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools that prepare_eemd_config
+    creates, in creation order."""
+    import concurrent.futures
+
+    made = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return made
+
+
+def prepare_on(cpus, segments, params=FAST_EEMD):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness.ingest, "_usable_cpus", lambda: cpus)
+        return prepare_eemd_config(make_config(), segments, 1000, params)
+
+
+class TestEemdWorkers:
+    """prepare_eemd_config deals large inputs to forked workers; its samples,
+    reports and errors must be those of one process, and no worker may
+    outlive the call."""
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2), (16, 6)])
+    def test_split_equals_one_process(self, pools, cpus, workers):
+        import multiprocessing
+
+        segments = worker_segments()
+        serial = prepare_on(1, segments)
+        split = prepare_on(cpus, segments)
+        # one worker fewer than chunks, and no more chunks than the 7 windows
+        assert pools == [workers]
+        assert multiprocessing.active_children() == []
+        assert ("flat", 0, 0) not in [s.sample_id for s in split.samples]
+        assert [s.sample_id for s in split.samples] == [s.sample_id for s in serial.samples]
+        assert len(split.samples) == 6
+        for a, b in zip(split.samples, serial.samples):
+            assert a.imf_features.tobytes() == b.imf_features.tobytes()
+            assert a.imf_band_fractions.tobytes() == b.imf_band_fractions.tobytes()
+
+    def test_reports_through_main_are_byte_equal(self, pools, tmp_path, monkeypatch, capsys):
+        from chatterdetect.cli import main
+
+        manifest = write_corpus_files(tmp_path, worker_segments())
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness.ingest, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["evaluate-within", "--manifest", str(manifest), "--stickout", "synth",
+                         "--method", "eemd", "--ensemble-size", "4", "--classifier", "logreg",
+                         "--realizations", "2", "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert pools == [1]
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+        report = json.loads(outputs[0]["within_synth_eemd_logistic.json"])
+        assert report["realizations"][0]["n_train"] + report["realizations"][0]["n_test"] == 6
+        capsys.readouterr()
+
+    def test_first_error_in_window_order_reaches_main(self, pools, tmp_path, monkeypatch,
+                                                      capsys):
+        # windows 3 (a worker's) and 4 (the caller's) fail; one process would
+        # report window 3's error, and so must the split
+        import multiprocessing
+
+        from chatterdetect.cli import main
+
+        def faulty(imfs, index):
+            level = float(np.mean(imfs.residue))
+            if level > 50:
+                raise DomainError(f"window at level {level:.0f}")
+            return eemd_features(imfs, index)
+
+        monkeypatch.setattr(harness, "eemd_features", faulty)
+        manifest = write_corpus_files(tmp_path, worker_segments({3: 100.0, 4: 200.0}))
+        records = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness.ingest, "_usable_cpus", lambda: cpus)
+            assert main(["evaluate-within", "--manifest", str(manifest), "--stickout", "synth",
+                         "--method", "eemd", "--ensemble-size", "4", "--classifier", "logreg",
+                         "--out", str(tmp_path / "out")]) == 1
+            records.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert pools == [1]
+        assert records[0] == records[1]
+        assert json.loads(records[0]) == {"error": "DomainError",
+                                          "message": "window at level 100"}
+
+    def test_below_the_size_one_process(self, pools):
+        # 5 windows x 4 members x 1000 samples is at the gate, 4 windows below it
+        segments = worker_segments()
+        assert len(prepare_on(2, segments[:5]).samples) == 4
+        assert pools == [1]
+        assert len(prepare_on(2, segments[:4]).samples) == 3
+        assert len(prepare_on(2, segments[:4], EemdParams(ensemble_size=5)).samples) == 3
+        assert pools == [1, 1]
+        # without noise every window is one plain EMD, whatever the ensemble size
+        assert len(prepare_on(2, segments, EemdParams(ensemble_size=4,
+                                                      noise_std_fraction=0.0)).samples) == 6
+        assert pools == [1, 1]
+
+    def test_usable_cpus_decide(self, pools):
+        # unpatched: under `taskset -c 0` the affinity call alone keeps the
+        # preparation in one process
+        cpus = harness.ingest._usable_cpus()
+        prepared = prepare_eemd_config(make_config(), worker_segments(), 1000, FAST_EEMD)
+        assert len(prepared.samples) == 6
+        assert pools == ([min(cpus, 7) - 1] if cpus > 1 else [])
+
+    def test_one_cpu_one_process(self, pools):
+        assert len(prepare_on(1, worker_segments()).samples) == 6
+        assert pools == []
+
+    def test_live_thread_one_process(self, pools):
+        import threading
+
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert len(prepare_on(2, worker_segments()).samples) == 6
+        finally:
+            done.set()
+            thread.join()
+        assert pools == []
+
+    def test_no_fork_one_process(self, pools, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert len(prepare_on(2, worker_segments()).samples) == 6
+        assert pools == []
+
+
 class TestLazyPacketFeatures:
     @pytest.mark.parametrize("level", [3, 4])
     def test_rows_match_eager_featurization(self, level):
