@@ -172,9 +172,8 @@ def _mirrored_knots(cols, vals, counts, n, t, v):
 
 
 def _natural_spline(t, v, sizes, n, out, work):
-    """Natural cubic splines through blocks of knots, each evaluated at
-    0..n-1 into one row of the arrays in out: the first array takes the
-    first blocks' values, the next the following ones'.  work is the _Work
+    """Natural cubic splines through blocks of knots, block b evaluated at
+    0..n-1 into row b of the (len(sizes), n) array out.  work is the _Work
     that holds the intermediates.
 
     Block b is the next sizes[b] entries of the integer knot positions t
@@ -191,9 +190,8 @@ def _natural_spline(t, v, sizes, n, out, work):
     start = np.cumsum(sizes) - sizes
     end = start + sizes - 1
     between = end[:-1]  # differences that span two blocks
-    rows = max(len(o) for o in out)
     tf, b, main, dx, slope, lower, upper, s, z, term = work(
-        "spline", float, (knots,), (knots,), (knots,), *[(knots - 1,)] * 4, *[(rows, n)] * 3
+        "spline", float, (knots,), (knots,), (knots,), *[(knots - 1,)] * 4, *[out.shape] * 3
     )
     (edges,) = work("spline index", np.intp, (knots,))
     tf[:] = t
@@ -243,31 +241,23 @@ def _natural_spline(t, v, sizes, n, out, work):
     counts = np.diff(edges)
     counts[between] = 0
     grid = np.arange(n, dtype=float)
-    first = 0
-    for dest in out:
-        blocks = len(dest)
-        if not blocks:
-            continue
-        span = slice(start[first], end[first + blocks - 1])
-        i = np.repeat(np.arange(span.start, span.stop), counts[span]).reshape(blocks, n)
-        first += blocks
-        ss, zz, tt = s[:blocks], z[:blocks], term[:blocks]
-        np.take(tf, i, out=ss, mode="clip")
-        np.subtract(grid, ss, out=ss)
-        np.multiply(ss, ss, out=zz)
-        # PPoly's power sum: (((0 + v) + d s) + c1 s^2) + c0 s^3
-        np.take(v, i, out=dest, mode="clip")
-        dest += 0.0
-        np.take(d, i, out=tt, mode="clip")
-        tt *= ss
-        dest += tt
-        np.take(c1, i, out=tt, mode="clip")
-        tt *= zz
-        dest += tt
-        zz *= ss
-        np.take(c0, i, out=tt, mode="clip")
-        tt *= zz
-        dest += tt
+    i = np.repeat(np.arange(knots - 1), counts).reshape(out.shape)
+    np.take(tf, i, out=s, mode="clip")
+    np.subtract(grid, s, out=s)
+    np.multiply(s, s, out=z)
+    # PPoly's power sum: (((0 + v) + d s) + c1 s^2) + c0 s^3
+    np.take(v, i, out=out, mode="clip")
+    out += 0.0
+    np.take(d, i, out=term, mode="clip")
+    term *= s
+    out += term
+    np.take(c1, i, out=term, mode="clip")
+    term *= z
+    out += term
+    z *= s
+    np.take(c0, i, out=term, mode="clip")
+    term *= z
+    out += term
 
 
 def envelope_mean(x, extrema=None, out=None, work=None):
@@ -299,18 +289,19 @@ def envelope_mean(x, extrema=None, out=None, work=None):
     out[~ok] = np.nan
     if not ok.any():
         return out
+    # one block list: the upper envelopes of the kept rows, then their lower ones
+    rows = np.concatenate([rmax, rmin])
+    cols = np.concatenate([cmax, cmin])
     if not ok.all():
-        keep_max, keep_min = ok[rmax], ok[rmin]
-        rmax, cmax, rmin, cmin = rmax[keep_max], cmax[keep_max], rmin[keep_min], cmin[keep_min]
-    nmax, nmin = nmax[ok], nmin[ok]
-    upper = cmax.size + 4 * nmax.size
-    size = upper + cmin.size + 4 * nmin.size
-    (t,) = work("knot positions", np.intp, (size,))
-    (v,) = work("knot values", float, (size,))
-    _mirrored_knots(cmax, x[rmax, cmax], nmax, n, t[:upper], v[:upper])
-    _mirrored_knots(cmin, x[rmin, cmin], nmin, n, t[upper:], v[upper:])
-    mean, lower = work("envelopes", float, (nmax.size, n), (nmin.size, n))
-    _natural_spline(t, v, np.concatenate([nmax, nmin]) + 4, n, (mean, lower), work)
+        keep = ok[rows]
+        rows, cols = rows[keep], cols[keep]
+    counts = np.concatenate([nmax[ok], nmin[ok]])
+    (t,) = work("knot positions", np.intp, (cols.size + 4 * counts.size,))
+    (v,) = work("knot values", float, (t.size,))
+    _mirrored_knots(cols, x[rows, cols], counts, n, t, v)
+    (envelopes,) = work("envelopes", float, (counts.size, n))
+    _natural_spline(t, v, counts + 4, n, envelopes, work)
+    mean, lower = np.split(envelopes, 2)
     mean += lower
     mean /= 2.0
     out[ok] = mean

@@ -573,10 +573,9 @@ def cut_segments(ts, labels, file_id=""):
     Stable maps to label 0; Chatter and Mild both map to label 1, since mild
     chatter always counts as chatter.
     """
-    ordered = sorted(enumerate(labels), key=lambda item: item[1].start_s)
     eps = 0.5 / ts.sample_rate_hz
     prev_end = None
-    for _, iv in ordered:
+    for iv in sorted(labels, key=lambda iv: iv.start_s):
         if iv.start_s < ts.start_time_s - eps or iv.end_s > ts.end_time_s + eps:
             raise ValidationError(
                 f"interval [{iv.start_s}, {iv.end_s}]s outside series span "
