@@ -2,9 +2,9 @@
 
 The wavelet-packet path uses fourteen statistics (ten time-domain, four
 frequency-domain) of the reconstructed informative packet; the decomposition
-path uses seven time-domain statistics of the informative intrinsic mode
-function.  Skewness and kurtosis are deliberately normalized by (N-1) times
-powers of the RMS, not by central-moment conventions.
+path uses seven time-domain statistics of each intrinsic mode function.  One
+moments kernel serves both; it deliberately normalizes skewness and kurtosis
+by (N-1) times powers of the RMS, not by central-moment conventions.
 """
 
 from __future__ import annotations
@@ -42,36 +42,43 @@ EEMD_FEATURE_NAMES = (
 
 
 def magnitude_spectrum(x, sample_rate_hz):
-    """One-sided DFT magnitude spectrum.
+    """One-sided DFT magnitude spectrum of x along its last axis.
 
     Forward transform is unnormalized; M = floor(len/2)+1 bins at
     f_k = k * Fs / len.  The frequency features are ratios of spectral sums,
     so the normalization cancels.
     """
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
+    if x.shape[-1] < 2:
         raise DomainError("need at least 2 samples for a spectrum")
     mags = np.abs(np.fft.rfft(x))
-    freqs = np.arange(mags.size) * sample_rate_hz / x.size
+    freqs = np.arange(mags.shape[-1]) * sample_rate_hz / x.shape[-1]
     return freqs, mags
+
+
+def _moments(x):
+    """Row-wise mean, std (ddof 1), RMS, skewness and kurtosis of a (k, n)
+    matrix.  The powers of the RMS go through float_power, libm's pow as for
+    a Python float; array ** rounds differently."""
+    n = x.shape[1]
+    mean = np.mean(x, axis=1)
+    rms = np.sqrt(np.mean(x**2, axis=1))
+    if not rms.all():
+        raise DomainError(f"ratio features undefined for all-zero row {np.argmin(rms) + 1}")
+    centered = x - mean[:, None]
+    skewness = np.sum(centered**3, axis=1) / ((n - 1) * np.float_power(rms, 3))
+    kurtosis = np.sum(centered**4, axis=1) / ((n - 1) * np.float_power(rms, 4))
+    return mean, np.std(x, axis=1, ddof=1), rms, skewness, kurtosis
 
 
 def wpt_features(x, sample_rate_hz):
     """The fourteen statistics of a reconstructed wavelet packet, as an array
     in WPT_FEATURE_NAMES order."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < 4:
+    if x.size < 4:
         raise DomainError("need at least 4 samples")
-    a1 = float(np.mean(x))
-    a2 = float(np.std(x, ddof=1))
-    a3 = float(np.sqrt(np.mean(x**2)))
+    (a1,), (a2,), (a3,), (a5,), (a6,) = _moments(x[None, :])
     a4 = float(np.max(np.abs(x)))
-    if a3 == 0.0:
-        raise DomainError("ratio features undefined for the all-zero signal")
-    centered = x - a1
-    a5 = float(np.sum(centered**3) / ((n - 1) * a3**3))
-    a6 = float(np.sum(centered**4) / ((n - 1) * a3**4))
     a7 = a4 / a3
     mean_sqrt_abs = float(np.mean(np.sqrt(np.abs(x))))
     mean_abs = float(np.mean(np.abs(x)))
@@ -90,30 +97,18 @@ def wpt_features(x, sample_rate_hz):
     return np.array([a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14])
 
 
-def eemd_features(imfs, informative_index):
-    """The seven statistics of one intrinsic mode function, as an array in
-    EEMD_FEATURE_NAMES order.
-
-    informative_index is 1-based.  The energy-ratio denominator runs over
-    the IMFs only; the residue is excluded.
-    """
-    if not 1 <= informative_index <= imfs.n_imfs:
-        raise DomainError(
-            f"informative index {informative_index} outside 1..{imfs.n_imfs}"
-        )
-    c = np.asarray(imfs.imfs[informative_index - 1], dtype=float)
-    n = c.size
-    total_energy = float(sum(np.sum(np.asarray(ci) ** 2) for ci in imfs.imfs))
+def eemd_features(imfs):
+    """The seven statistics of each IMF of an ImfSet, as an (n_imfs, 7) matrix
+    in EEMD_FEATURE_NAMES order, row i - 1 for IMF i.  The energy-ratio
+    denominator runs over the IMFs only; the residue is excluded."""
+    if imfs.n_imfs == 0:
+        raise DomainError("no IMFs to featurize")
+    c = np.asarray(imfs.imfs, dtype=float)
+    energies = np.sum(c**2, axis=1)
+    total_energy = float(sum(energies.tolist()))  # left to right; np.sum rounds differently
     if total_energy == 0.0:
         raise DomainError("energy ratio undefined: all IMFs are zero")
-    f1 = float(np.sum(c**2)) / total_energy
-    f2 = float(np.max(c) - np.min(c))
-    f3 = float(np.std(c, ddof=1))
-    f4 = float(np.sqrt(np.mean(c**2)))
-    if f4 == 0.0:
-        raise DomainError("ratio features undefined for an all-zero IMF")
-    f5 = float(np.max(c)) / f4
-    centered = c - float(np.mean(c))
-    f6 = float(np.sum(centered**3) / ((n - 1) * f4**3))
-    f7 = float(np.sum(centered**4) / ((n - 1) * f4**4))
-    return np.array([f1, f2, f3, f4, f5, f6, f7])
+    _, std, rms, skewness, kurtosis = _moments(c)
+    peak = np.max(c, axis=1)
+    return np.column_stack([energies / total_energy, peak - np.min(c, axis=1), std, rms,
+                            peak / rms, skewness, kurtosis])

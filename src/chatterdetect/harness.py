@@ -202,10 +202,7 @@ def _featurize_windows(x, params, band, fs):
             rows.append(None)  # degenerate window with no oscillation
             continue
         try:
-            rows.append((
-                np.vstack([eemd_features(imfs, i + 1) for i in range(imfs.n_imfs)]),
-                np.asarray([in_band_fraction(c, band, fs) for c in imfs.imfs]),
-            ))
+            rows.append((eemd_features(imfs), in_band_fraction(np.asarray(imfs.imfs), band, fs)))
         except ChatterDetectError as exc:
             return rows + [exc]
     return rows
@@ -261,7 +258,8 @@ def prepare_eemd_config(config, segments, window_len=1000, eemd_params=None):
         # window i is entry i // c of chunk i % c; a chunk ends at its error
         row = chunks[i % len(chunks)][i // len(chunks)]
         if isinstance(row, ChatterDetectError):
-            raise row
+            raise type(row)(f"file {win.source[0]!r} interval {win.source[1]} "
+                            f"window {w_idx}: {row}") from None
         if row is None:
             continue
         prepared.append(

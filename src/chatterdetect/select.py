@@ -53,15 +53,16 @@ def select_packet(ratio_rows, band, level, sample_rate_hz):
     }
 
 
-def in_band_fraction(imf, band, sample_rate_hz):
-    """Share of the IMF's spectral energy inside `band` (0 for a zero IMF)."""
-    freqs, mags = magnitude_spectrum(imf, sample_rate_hz)
+def in_band_fraction(imfs, band, sample_rate_hz):
+    """Share of each IMF's spectral energy inside `band`, for the rows of the
+    (k, n) IMF matrix `imfs` (0 for a zero IMF)."""
+    freqs, mags = magnitude_spectrum(imfs, sample_rate_hz)
     spectrum = mags**2
-    total = float(spectrum.sum())
-    if total == 0.0:
-        return 0.0
     mask = (freqs >= band.low_hz) & (freqs <= band.high_hz)
-    return float(spectrum[mask].sum()) / total
+    # row by row: a 2-D sum over the masked columns rounds differently
+    inside = np.array([row[mask].sum() for row in spectrum])
+    totals = spectrum.sum(axis=1)
+    return np.divide(inside, totals, out=np.zeros(len(totals)), where=totals != 0.0)
 
 
 def select_imf(fraction_rows):

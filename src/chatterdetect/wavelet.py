@@ -164,7 +164,7 @@ def reconstruct_packet(tree, level, packet_index):
 def energy_ratios(tree, level):
     """Fraction of total packet energy held by each packet at `level`."""
     tree._check(level, 1)
-    energies = np.array([float(np.sum(p**2)) for p in tree.packets(level)])
+    energies = np.sum(tree.levels[level] ** 2, axis=1)[_gray(np.arange(2**level))]
     total = energies.sum()
     if total == 0.0:
         raise DomainError("energy ratios undefined for the all-zero signal")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatterdetect import (
     DomainError,
@@ -63,6 +65,56 @@ def oracle_eemd_features(imfs, index):
     f6 = sum((v - mean) ** 3 for v in c) / ((n - 1) * f4**3)
     f7 = sum((v - mean) ** 4 for v in c) / ((n - 1) * f4**4)
     return [f1, f2, f3, f4, f5, f6, f7]
+
+
+def parent_wpt_moments(x):
+    """wpt_features' mean, std, RMS, skewness and kurtosis as computed one
+    signal at a time before the shared moments kernel: the bitwise
+    reference for columns 0, 1, 2, 4 and 5."""
+    n = x.size
+    a1 = float(np.mean(x))
+    a2 = float(np.std(x, ddof=1))
+    a3 = float(np.sqrt(np.mean(x**2)))
+    centered = x - a1
+    a5 = float(np.sum(centered**3) / ((n - 1) * a3**3))
+    a6 = float(np.sum(centered**4) / ((n - 1) * a3**4))
+    return np.array([a1, a2, a3, a5, a6])
+
+
+def parent_eemd_features(imfs, informative_index):
+    """The per-IMF eemd_features from before the matrix form: the bitwise
+    reference for row informative_index - 1 of eemd_features(imfs)."""
+    if not 1 <= informative_index <= imfs.n_imfs:
+        raise DomainError(
+            f"informative index {informative_index} outside 1..{imfs.n_imfs}"
+        )
+    c = np.asarray(imfs.imfs[informative_index - 1], dtype=float)
+    n = c.size
+    total_energy = float(sum(np.sum(np.asarray(ci) ** 2) for ci in imfs.imfs))
+    if total_energy == 0.0:
+        raise DomainError("energy ratio undefined: all IMFs are zero")
+    f1 = float(np.sum(c**2)) / total_energy
+    f2 = float(np.max(c) - np.min(c))
+    f3 = float(np.std(c, ddof=1))
+    f4 = float(np.sqrt(np.mean(c**2)))
+    if f4 == 0.0:
+        raise DomainError("ratio features undefined for an all-zero IMF")
+    f5 = float(np.max(c)) / f4
+    centered = c - float(np.mean(c))
+    f6 = float(np.sum(centered**3) / ((n - 1) * f4**3))
+    f7 = float(np.sum(centered**4) / ((n - 1) * f4**4))
+    return np.array([f1, f2, f3, f4, f5, f6, f7])
+
+
+@st.composite
+def imf_matrices(draw):
+    """(k, n) matrices of 1-10 noise rows of 4-2000 samples, each row at its
+    own scale in 1e-6..1e6."""
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(4, 2000))
+    exponents = draw(st.lists(st.floats(-6.0, 6.0), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((k, n)) * 10.0 ** np.asarray(exponents)[:, None]
 
 
 class TestMagnitudeSpectrum:
@@ -129,6 +181,13 @@ class TestWptFeatures:
         assert vals[0] == 0.0
         assert vals[3] == 3.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(imf_matrices())
+    def test_moments_match_parent_bitwise(self, signals):
+        for x in signals:
+            got = wpt_features(x, 1000.0)[[0, 1, 2, 4, 5]]
+            assert got.tobytes() == parent_wpt_moments(x).tobytes()
+
     def test_zero_signal_rejected(self):
         with pytest.raises(DomainError):
             wpt_features(np.zeros(16), 1000.0)
@@ -147,37 +206,53 @@ class TestEemdFeatures:
     def test_against_oracle_random(self):
         for seed in range(10):
             imfs = self.make_imfs(seed)
+            got = eemd_features(imfs)
+            assert got.shape == (3, 7)
             for idx in (1, 2, 3):
-                got = eemd_features(imfs, idx)
                 want = oracle_eemd_features(imfs.imfs, idx)
-                assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+                assert np.allclose(got[idx - 1], want, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(imf_matrices())
+    def test_rows_match_parent_bitwise(self, c):
+        imfs = ImfSet(list(c), np.zeros(c.shape[1]))
+        got = eemd_features(imfs)
+        assert got.shape == (len(c), 7)
+        for i in range(len(c)):
+            assert got[i].tobytes() == parent_eemd_features(imfs, i + 1).tobytes()
 
     def test_energy_ratios_sum_to_one(self):
         imfs = self.make_imfs(4)
-        total = sum(
-            eemd_features(imfs, i + 1)[0] for i in range(imfs.n_imfs)
-        )
+        total = sum(eemd_features(imfs)[:, 0])
         assert abs(total - 1.0) < 1e-12
 
     def test_residue_excluded_from_energy(self):
         c = np.sin(np.linspace(0, 20, 100))
         imfs = ImfSet([c], np.full(100, 100.0))
-        assert eemd_features(imfs, 1)[0] == 1.0
+        assert eemd_features(imfs)[0, 0] == 1.0
 
     def test_peak_to_peak(self):
         c = np.array([-2.0, 0.5, 3.0, 1.0])
-        vals = eemd_features(ImfSet([c], np.zeros(4)), 1)
+        vals = eemd_features(ImfSet([c], np.zeros(4)))[0]
         assert vals[1] == 5.0
 
     def test_crest_uses_signed_max(self):
         c = np.array([-3.0, 1.0, -1.0, 1.0])
-        vals = eemd_features(ImfSet([c], np.zeros(4)), 1)
+        vals = eemd_features(ImfSet([c], np.zeros(4)))[0]
         rms = math.sqrt(3.0)
         assert abs(vals[4] - 1.0 / rms) < 1e-12
 
-    def test_bad_index_rejected(self):
+    @pytest.mark.parametrize("zero", [0, 1, 2])
+    def test_zero_imf_rejected_as_by_parent(self, zero):
         imfs = self.make_imfs()
+        imfs.imfs[zero] = np.zeros(128)
         with pytest.raises(DomainError):
-            eemd_features(imfs, 0)
+            parent_eemd_features(imfs, zero + 1)
         with pytest.raises(DomainError):
-            eemd_features(imfs, 4)
+            eemd_features(imfs)
+
+    def test_all_zero_and_empty_sets_rejected(self):
+        with pytest.raises(DomainError):
+            eemd_features(ImfSet([np.zeros(8), np.zeros(8)], np.ones(8)))
+        with pytest.raises(DomainError):
+            eemd_features(ImfSet([], np.ones(8)))

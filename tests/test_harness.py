@@ -149,10 +149,9 @@ class TestPreparation:
         assert [s.sample_id for s in prepared.samples] == sorted(expected)
         for s in prepared.samples:
             imfs = expected[s.sample_id]
-            feats = np.vstack([eemd_features(imfs, i + 1) for i in range(imfs.n_imfs)])
-            fractions = [in_band_fraction(c, band, FS) for c in imfs.imfs]
-            assert np.array_equal(s.imf_features, feats)
-            assert np.array_equal(s.imf_band_fractions, fractions)
+            assert np.array_equal(s.imf_features, eemd_features(imfs))
+            assert np.array_equal(s.imf_band_fractions,
+                                  in_band_fraction(np.asarray(imfs.imfs), band, FS))
 
     def test_empty_segments_rejected(self):
         with pytest.raises(ValidationError):
@@ -257,11 +256,11 @@ class TestEemdWorkers:
 
         from chatterdetect.cli import main
 
-        def faulty(imfs, index):
+        def faulty(imfs):
             level = float(np.mean(imfs.residue))
             if level > 50:
                 raise DomainError(f"window at level {level:.0f}")
-            return eemd_features(imfs, index)
+            return eemd_features(imfs)
 
         monkeypatch.setattr(harness, "eemd_features", faulty)
         manifest = write_corpus_files(tmp_path, worker_segments({3: 100.0, 4: 200.0}))
@@ -275,8 +274,9 @@ class TestEemdWorkers:
             assert multiprocessing.active_children() == []
         assert pools == [1]
         assert records[0] == records[1]
-        assert json.loads(records[0]) == {"error": "DomainError",
-                                          "message": "window at level 100"}
+        assert json.loads(records[0]) == {
+            "error": "DomainError",
+            "message": "file 'file03' interval 0 window 0: window at level 100"}
 
     def test_below_the_size_one_process(self, pools):
         # 5 windows x 4 members x 1000 samples is at the gate, 4 windows below it

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatterdetect import (
     DomainError,
@@ -11,11 +13,13 @@ from chatterdetect import (
     emd,
     energy_ratios,
     in_band_fraction,
+    magnitude_spectrum,
     select_imf,
     select_packet,
     wpt_decompose,
 )
 from synthetic_corpus import BAND, FS, make_segments
+from test_features import imf_matrices
 
 CHATTER_BAND = FrequencyBand(*BAND)
 
@@ -32,9 +36,11 @@ def packet_choice(trees, level, band=CHATTER_BAND):
 
 
 def imf_choice(sets):
-    return select_imf(
-        [[in_band_fraction(c, CHATTER_BAND, FS) for c in s.imfs] for s in sets]
-    )
+    # a set without IMFs is a (0, n) matrix
+    return select_imf([
+        in_band_fraction(np.reshape(s.imfs, (s.n_imfs, s.residue.size)), CHATTER_BAND, FS)
+        for s in sets
+    ])
 
 
 class TestSelectInformativePacket:
@@ -156,8 +162,36 @@ class TestSelectInformativeImf:
         assert choice["index"] == 2
 
 
+def parent_in_band_fraction(imf, band, sample_rate_hz):
+    """The one-IMF in_band_fraction from before the matrix form: the bitwise
+    reference for each entry of in_band_fraction(imfs, ...)."""
+    freqs, mags = magnitude_spectrum(imf, sample_rate_hz)
+    spectrum = mags**2
+    total = float(spectrum.sum())
+    if total == 0.0:
+        return 0.0
+    mask = (freqs >= band.low_hz) & (freqs <= band.high_hz)
+    return float(spectrum[mask].sum()) / total
+
+
+class TestInBandFraction:
+    @settings(max_examples=200, deadline=None)
+    @given(imf_matrices(), st.floats(0.0, FS / 2), st.floats(1.0, FS / 2))
+    def test_rows_match_parent_bitwise(self, c, low, width):
+        band = FrequencyBand(low, low + width)
+        got = in_band_fraction(c, band, FS)
+        assert got.shape == (len(c),)
+        for row, value in zip(c, got):
+            assert value.tobytes() == np.float64(parent_in_band_fraction(row, band, FS)).tobytes()
+
+
 def test_in_band_fraction_of_zero_imf_is_zero():
-    assert in_band_fraction(np.zeros(64), CHATTER_BAND, FS) == 0.0
+    # alone and among non-zero IMFs; 0/0's RuntimeWarning is an error here
+    assert in_band_fraction(np.zeros((1, 64)), CHATTER_BAND, FS).tolist() == [0.0]
+    c = np.vstack([np.sin(np.arange(64.0)), np.zeros(64), np.cos(np.arange(64.0))])
+    got = in_band_fraction(c, CHATTER_BAND, FS)
+    assert got[1] == 0.0
+    assert got.tolist() == [parent_in_band_fraction(row, CHATTER_BAND, FS) for row in c]
 
 
 def _frac(c):

@@ -131,9 +131,10 @@ class TestLeaves:
             assert rows.shape == (2**k, 1008 // 2**k)  # 1001 padded to a multiple of 16
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(16, 3000), level=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_leaves_read_like_the_full_tree(self, n, level, seed):
-        x = np.random.default_rng(seed).standard_normal(n)
+    @given(n=st.integers(16, 3000), level=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-5.0, 5.0))
+    def test_leaves_read_like_the_full_tree(self, n, level, seed, exponent):
+        x = np.random.default_rng(seed).standard_normal(n) * 10.0**exponent
         tree = wpt_decompose(TimeSeries(x, FS), level)
         leaves = tree.leaves()
         assert leaves.level == level and leaves.original_length == n
@@ -141,6 +142,9 @@ class TestLeaves:
             assert (reconstruct_packet(leaves, level, j).samples.tobytes()
                     == reconstruct_packet(tree, level, j).samples.tobytes())
         assert energy_ratios(leaves, level).tobytes() == energy_ratios(tree, level).tobytes()
+        # the packet-by-packet sums that energy_ratios made before its row reduction
+        energies = np.array([float(np.sum(p**2)) for p in tree.packets(level)])
+        assert energy_ratios(tree, level).tobytes() == (energies / energies.sum()).tobytes()
         for k in range(1, level):
             with pytest.raises(DomainError):
                 leaves.packet(k, 1)
