@@ -198,6 +198,9 @@ def _cmd_decompose(args):
 
 def _prepare(args, stickout_ids):
     """Prepare each stickout configuration from one load of the manifest."""
+    for sid in stickout_ids:  # an id names output files
+        if {"/", os.sep, "\0"} & set(sid):
+            raise ValidationError(f"stickout id {sid!r} holds a path separator or NUL")
     manifest = load_manifest(args.manifest)
     # each stickout's first record gives its rate: refuse a mismatch before reading
     rates = {rec.stickout_id: rec.sample_rate_hz for rec in reversed(manifest.records)}

@@ -1,10 +1,10 @@
 """Empirical Mode Decomposition by envelope-mean sifting, plus the
 noise-assisted ensemble variant (EEMD).
 
-Every function here takes a 2-D batch of signals, one per row, and sifts
-the rows in lockstep: each row keeps its own stop tests and leaves the
-batch when it stops.  A 1-D signal is a batch of one and keeps the 1-D
-return values.
+The sifting steps (find_extrema, zero_crossings, envelope_mean, sift_imf)
+take a 2-D batch of signals, one per row, and sift the rows in lockstep:
+each row keeps its own stop tests and leaves the batch when it stops.  emd
+and eemd take one signal or such a batch.
 """
 
 from __future__ import annotations
@@ -89,17 +89,13 @@ class _Work:
 
 
 def find_extrema(x):
-    """Indices of strict local maxima and minima.
+    """Strict local maxima and minima of each row of a (rows, n) batch.
 
-    Flat runs count once, at their (left-rounded) midpoint.  For a 1-D
-    signal, returns (maxima, minima) index arrays.  For a 2-D batch, maxima
-    and minima are each a (rows, columns) pair in row-major order, as
-    np.nonzero gives them.
+    Flat runs count once, at their (left-rounded) midpoint.  Returns
+    (maxima, minima), each a (rows, columns) index pair in row-major order,
+    as np.nonzero gives them.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        (_, maxima), (_, minima) = find_extrema(x[None])
-        return maxima, minima
     k, n = x.shape
     if n < 3:
         empty = np.array([], dtype=int)
@@ -132,11 +128,9 @@ def find_extrema(x):
 
 
 def zero_crossings(x):
-    """Number of sign changes, ignoring exact zeros; for a 2-D batch, an
-    array of one count per row."""
+    """Number of sign changes in each row of a (rows, n) batch, ignoring
+    exact zeros: an array of one count per row."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return int(zero_crossings(x[None])[0])
     neg, pos = x < 0, x > 0
     if np.count_nonzero(neg) + np.count_nonzero(pos) == x.size:
         return np.count_nonzero(neg[:, 1:] != neg[:, :-1], axis=1)
@@ -261,22 +255,15 @@ def _natural_spline(t, v, sizes, n, out, work):
 
 
 def envelope_mean(x, extrema=None, out=None, work=None):
-    """Mean of the upper and lower cubic-spline envelopes, or None when the
-    signal has too few extrema to envelope (monotonic-like).
+    """Mean of the upper and lower cubic-spline envelopes of each row of a
+    (rows, n) batch, NaN where a row has fewer than two maxima or minima.
 
     extrema, when given, is find_extrema(x), so a caller that already has
-    it does not compute it again.  For a 2-D batch, returns one mean per
-    row, NaN where a row has fewer than two maxima or minima; a caller may
-    leave a row out by leaving its extrema out.  out, when given, receives
-    the 2-D result, and work is the _Work of an enclosing decomposition.
+    it does not compute it again; a caller may leave a row out by leaving
+    its extrema out.  out, when given, receives the result, and work is the
+    _Work of an enclosing decomposition.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        maxima, minima = find_extrema(x) if extrema is None else extrema
-        if maxima.size < 2 or minima.size < 2:
-            return None
-        batch = tuple((np.zeros(i.size, dtype=int), i) for i in (maxima, minima))
-        return envelope_mean(x[None], batch)[0]
     k, n = x.shape
     if work is None:
         work = _Work()
@@ -309,19 +296,15 @@ def envelope_mean(x, extrema=None, out=None, work=None):
 
 
 def sift_imf(r, work=None):
-    """Extract one IMF from a residue.
+    """Extract one IMF from each residue of a (rows, n) batch.
 
-    Returns (imf, is_monotonic).  is_monotonic is True when the residue has
-    fewer than two maxima or minima, in which case imf is None.  For a 2-D
-    batch, imf has one row per residue (NaN where monotonic) and
-    is_monotonic one flag per row.  Every row runs its own stop tests and
-    leaves the batch when it stops.  work, when given, is the _Work of an
-    enclosing decomposition.
+    Returns (imf, is_monotonic): imf has one row per residue and
+    is_monotonic one flag per row, True, with a NaN imf row, where the
+    residue has fewer than two maxima or minima.  Every row runs its own
+    stop tests and leaves the batch when it stops.  work, when given, is
+    the _Work of an enclosing decomposition.
     """
     r = np.asarray(r, dtype=float)
-    if r.ndim == 1:
-        imf, monotonic = sift_imf(r[None], work)
-        return (None, True) if monotonic[0] else (imf[0], False)
     if work is None:
         work = _Work()
     imf = np.full(r.shape, np.nan)

@@ -1033,6 +1033,26 @@ class TestErrorContract:
         assert record["message"] == (
             f"{manifest}: manifest records 1 and 3 share file_id 'file01'")
 
+    @pytest.mark.parametrize("command", ["evaluate-within", "select"])
+    @pytest.mark.parametrize("sid", ["a/b", "a\0b"], ids=["slash", "nul"])
+    def test_stickout_id_with_separator_refused_before_reading(self, capsys, tmp_path,
+                                                               monkeypatch, command, sid):
+        # the id names the output file, so the run would fail only after the study
+        manifest = write_corpus_files(tmp_path, make_segments(seed=0, n_stable=4, n_chatter=4),
+                                      sid)
+        calls = []
+        monkeypatch.setattr(harness, "segments_from_manifest", lambda *a: calls.append(a))
+        argv = ["--classifier", "logreg", "--realizations", "1"] * (command != "select")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, stdout, err = run(capsys, command, "--manifest", str(manifest), "--stickout", sid,
+                                "--method", "wpt", "--level", "3", *argv, "--out", str(out))
+        assert code == 1 and stdout == "" and calls == []
+        assert error_record(err) == {
+            "error": "ValidationError",
+            "message": f"stickout id {sid!r} holds a path separator or NUL"}
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["decompose", "train", "evaluate-within"])
     def test_negative_seed_exit_1(self, corpus, capsys, tmp_path, command):
         _, manifest = corpus

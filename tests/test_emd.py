@@ -44,6 +44,14 @@ def reference_extrema(x):
     return np.asarray(maxima, dtype=int), np.asarray(minima, dtype=int)
 
 
+def one_row_extrema(x):
+    """find_extrema of one signal, as a batch of one: (maxima, minima)
+    column indices."""
+    (rmax, cmax), (rmin, cmin) = find_extrema(np.asarray(x, dtype=float)[None])
+    assert not rmax.any() and not rmin.any()
+    return cmax, cmin
+
+
 def reference_mirrored_knots(idx, val, n, n_mirror=2):
     """Extrema extended beyond both ends by reflecting the outermost ones:
     the original per-signal code, kept as part of the envelope oracle."""
@@ -105,7 +113,7 @@ class TestRowWise:
     def test_find_extrema_rows_match_one_row(self, x):
         (rmax, cmax), (rmin, cmin) = find_extrema(x)
         for row in range(x.shape[0]):
-            maxima, minima = find_extrema(x[row])
+            maxima, minima = one_row_extrema(x[row])
             assert np.array_equal(cmax[rmax == row], maxima)
             assert np.array_equal(cmin[rmin == row], minima)
             ref_max, ref_min = reference_extrema(x[row])
@@ -122,7 +130,8 @@ class TestRowWise:
         for row in range(x.shape[0]):
             s = np.sign(x[row])
             s = s[s != 0]
-            assert counts[row] == zero_crossings(x[row]) == np.count_nonzero(s[:-1] != s[1:])
+            expected = np.count_nonzero(s[:-1] != s[1:])
+            assert counts[row] == zero_crossings(x[row][None])[0] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(batches())
@@ -135,11 +144,7 @@ class TestRowWise:
     def test_envelope_mean_rows_match_one_row(self, x):
         means = envelope_mean(x)
         for row in range(x.shape[0]):
-            expected = envelope_mean(x[row])
-            if expected is None:
-                assert np.all(np.isnan(means[row]))
-            else:
-                assert np.array_equal(means[row], expected)
+            assert np.array_equal(means[row], envelope_mean(x[row][None])[0], equal_nan=True)
 
 
 def mixed_batch(n=512):
@@ -217,8 +222,8 @@ class TestLockstep:
         assert list(capped_mono) == [True] + [False] * 5
         assert np.all(np.isnan(capped[0]))
         for row in range(1, x.shape[0]):
-            imf, monotonic = sift_imf(x[row])
-            assert not monotonic and np.array_equal(capped[row], imf)
+            imf, monotonic = sift_imf(x[row][None])
+            assert not monotonic[0] and np.array_equal(capped[row], imf[0])
         # the intermittent, random-walk and noise rows hit the sweep cap;
         # the tonal rows stop on the sd and IMF tests before it
         hit = [not np.array_equal(capped[r], free[r]) for r in range(1, x.shape[0])]
@@ -252,7 +257,7 @@ class TestFindExtrema:
     @settings(max_examples=300, deadline=None)
     @given(signals)
     def test_matches_reference_loop(self, x):
-        maxima, minima = find_extrema(x)
+        maxima, minima = one_row_extrema(x)
         ref_max, ref_min = reference_extrema(x)
         assert maxima.dtype == ref_max.dtype and minima.dtype == ref_min.dtype
         assert np.array_equal(maxima, ref_max)
@@ -260,50 +265,50 @@ class TestFindExtrema:
 
     def test_single_hump(self):
         x = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
-        maxima, minima = find_extrema(x)
+        maxima, minima = one_row_extrema(x)
         assert list(maxima) == [2] and minima.size == 0
 
     def test_alternating(self):
         x = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        maxima, minima = find_extrema(x)
+        maxima, minima = one_row_extrema(x)
         assert list(maxima) == [1, 3, 5]
         assert list(minima) == [2, 4]
 
     def test_flat_top_counts_once(self):
         x = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
-        maxima, minima = find_extrema(x)
+        maxima, minima = one_row_extrema(x)
         assert list(maxima) == [2]
 
     def test_flat_run_even_length_left_midpoint(self):
         x = np.array([0.0, 1.0, 1.0, 0.0])
-        maxima, _ = find_extrema(x)
+        maxima, _ = one_row_extrema(x)
         assert list(maxima) == [1]
 
     def test_monotone_has_none(self):
-        maxima, minima = find_extrema(np.arange(10.0))
+        maxima, minima = one_row_extrema(np.arange(10.0))
         assert maxima.size == 0 and minima.size == 0
 
     def test_sine_counts(self):
         t = np.arange(1000) / 1000.0
         x = np.sin(2 * np.pi * 5 * t)
-        maxima, minima = find_extrema(x)
+        maxima, minima = one_row_extrema(x)
         assert maxima.size == 5 and minima.size == 5
 
     def test_short_input(self):
-        maxima, minima = find_extrema(np.array([1.0, 2.0]))
+        maxima, minima = one_row_extrema(np.array([1.0, 2.0]))
         assert maxima.size == 0 and minima.size == 0
 
 
 class TestZeroCrossings:
     def test_sine(self):
         t = np.arange(1000) / 1000.0
-        assert zero_crossings(np.sin(2 * np.pi * 5 * t + 0.3)) == 10
+        assert list(zero_crossings(np.sin(2 * np.pi * 5 * t + 0.3)[None])) == [10]
 
     def test_exact_zeros_ignored(self):
-        assert zero_crossings(np.array([1.0, 0.0, 1.0, -1.0])) == 1
+        assert list(zero_crossings(np.array([[1.0, 0.0, 1.0, -1.0]]))) == [1]
 
     def test_constant(self):
-        assert zero_crossings(np.ones(10)) == 0
+        assert list(zero_crossings(np.ones((1, 10)))) == [0]
 
 
 class TestEnvelopeMean:
@@ -311,11 +316,12 @@ class TestEnvelopeMean:
     @given(signals)
     def test_bitwise_equal_to_scipy_splines(self, x):
         expected = reference_envelope_mean(x)
-        for m in (envelope_mean(x), envelope_mean(x, find_extrema(x))):
+        for m in (envelope_mean(x[None]), envelope_mean(x[None], find_extrema(x[None]))):
+            assert m.shape == (1, x.size)
             if expected is None:
-                assert m is None
+                assert np.all(np.isnan(m))
             else:
-                assert np.array_equal(m, expected)
+                assert np.array_equal(m[0], expected)
 
     def test_singular_spline_system_raises(self):
         # repeated knots zero the diagonal; the solver's status must not
@@ -350,27 +356,30 @@ class TestEnvelopeMean:
 
     def test_pure_sine_mean_near_zero(self):
         t = np.arange(2000) / 1000.0
-        m = envelope_mean(np.sin(2 * np.pi * 10 * t))
+        m = envelope_mean(np.sin(2 * np.pi * 10 * t)[None])[0]
         rms = np.sqrt(np.mean(m[100:-100] ** 2))
         assert rms < 0.01
 
     def test_offset_sine_recovers_offset(self):
         t = np.arange(2000) / 1000.0
-        m = envelope_mean(3.0 + np.sin(2 * np.pi * 10 * t))
+        m = envelope_mean(3.0 + np.sin(2 * np.pi * 10 * t)[None])[0]
         assert abs(np.mean(m[100:-100]) - 3.0) < 0.01
 
-    def test_monotone_returns_none(self):
-        assert envelope_mean(np.arange(100.0)) is None
+    def test_monotone_gives_nan_row(self):
+        m = envelope_mean(np.arange(100.0)[None])
+        assert m.shape == (1, 100) and np.all(np.isnan(m))
 
-    def test_too_few_extrema_returns_none(self):
-        x = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
-        assert envelope_mean(x) is None or envelope_mean(x).size == x.size
+    def test_too_few_extrema_gives_nan_row(self):
+        # one maximum and one minimum: too few to envelope
+        x = np.array([[0.0, 1.0, 0.0, -1.0, 0.0]])
+        m = envelope_mean(x)
+        assert m.shape == x.shape and np.all(np.isnan(m))
 
     def test_envelope_brackets_signal_between_extrema(self):
         t = np.arange(1000) / 1000.0
         x = np.sin(2 * np.pi * 8 * t) * (1 + 0.3 * np.sin(2 * np.pi * 1 * t))
-        m = envelope_mean(x)
-        maxima, minima = find_extrema(x)
+        m = envelope_mean(x[None])[0]
+        maxima, minima = one_row_extrema(x)
         interior = slice(maxima[0], maxima[-1])
         assert np.all(m[interior] <= np.max(x) + 1e-9)
         assert np.all(m[interior] >= np.min(x) - 1e-9)
@@ -378,13 +387,13 @@ class TestEnvelopeMean:
 
 class TestSiftImf:
     def test_monotone_flagged(self):
-        imf, monotonic = sift_imf(np.arange(50.0))
-        assert monotonic and imf is None
+        imf, monotonic = sift_imf(np.arange(50.0)[None])
+        assert list(monotonic) == [True] and np.all(np.isnan(imf))
 
     def test_sine_passes_through(self):
         t = np.arange(2000) / 1000.0
         x = np.sin(2 * np.pi * 10 * t)
-        imf, monotonic = sift_imf(x)
+        (imf,), (monotonic,) = sift_imf(x[None])
         assert not monotonic
         core = slice(200, -200)
         assert np.corrcoef(imf[core], x[core])[0, 1] > 0.999
@@ -392,18 +401,18 @@ class TestSiftImf:
     def test_imf_condition_holds(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(512)
-        imf, monotonic = sift_imf(x)
-        assert not monotonic
-        maxima, minima = find_extrema(imf)
-        assert abs((maxima.size + minima.size) - zero_crossings(imf)) <= 1
+        imf, monotonic = sift_imf(x[None])
+        assert not monotonic[0]
+        maxima, minima = one_row_extrema(imf[0])
+        assert abs((maxima.size + minima.size) - zero_crossings(imf)[0]) <= 1
 
     def test_sweep_cap_respected(self, monkeypatch):
         monkeypatch.setattr(emd_module, "SD_THRESHOLD", 0.0)
         monkeypatch.setattr(emd_module, "MAX_SWEEPS", 3)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(256)
-        imf, _ = sift_imf(x)
-        assert imf is not None
+        imf, monotonic = sift_imf(x[None])
+        assert not monotonic[0] and np.all(np.isfinite(imf))
 
 
 class TestEmd:
@@ -431,7 +440,7 @@ class TestEmd:
 
     def test_imf_ordering_fast_to_slow(self):
         result = emd(two_tone())
-        counts = [zero_crossings(c) for c in result.imfs[:2]]
+        counts = zero_crossings(np.stack(result.imfs[:2]))
         assert counts[0] > counts[1]
 
     def test_max_imfs_cap(self, monkeypatch):
@@ -470,10 +479,11 @@ class TestEmd:
                      + rng.uniform(-1, 1) * t)
             result = emd(x)
             worst = max(worst, float(np.max(np.abs(result.reconstruct() - x))))
-            for c in result.imfs:
-                maxima, minima = find_extrema(c)
-                if abs((maxima.size + minima.size) - zero_crossings(c)) > 1:
-                    violations += 1
+            imfs = np.stack(result.imfs)
+            (rmax, _), (rmin, _) = find_extrema(imfs)
+            n_extrema = np.bincount(rmax, minlength=len(imfs)) + np.bincount(
+                rmin, minlength=len(imfs))
+            violations += np.count_nonzero(np.abs(n_extrema - zero_crossings(imfs)) > 1)
         assert worst < 1e-9
         assert violations == 0
 

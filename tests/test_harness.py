@@ -556,6 +556,33 @@ class TestRunWithin:
         assert report.best_row()["mean_test"] >= 0.9
 
 
+class TestAmplitudeInvariance:
+    """A power of two scales every sample exactly, and nothing in the
+    pipeline depends on scale, so the report must not notice."""
+
+    @staticmethod
+    def report(prepared):
+        # json's float repr round-trips, so equal text is equal bits
+        return json.dumps(run_within(run_spec(), prepared).to_dict())
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, wpt_prepared, eemd_prepared):
+        return self.report(wpt_prepared), self.report(eemd_prepared)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.sampled_from([-2, 1, 10]))
+    def test_scaled_segments_give_the_same_report(self, unscaled, k):
+        def scaled(segments):
+            return [dataclasses.replace(s, series=TimeSeries(s.series.samples * 2.0**k, FS))
+                    for s in segments]
+
+        wpt = prepare_wpt_config(make_config(), scaled(make_segments(seed=0)), level=3)
+        segments = make_segments(seed=0, n_stable=6, n_chatter=6, seg_len=2000)
+        eemd_ = prepare_eemd_config(make_config(), scaled(segments), window_len=1000,
+                                    eemd_params=FAST_EEMD)
+        assert (self.report(wpt), self.report(eemd_)) == unscaled
+
+
 class TestRunTransfer:
     def make_prepared(self, stickout_id, seed, chatter_hz=950.0):
         from chatterdetect import CuttingConfig
